@@ -32,7 +32,6 @@ from .kde import (
     Grid,
     as_sample,
     default_grid,
-    kde_auto,
     kde_direct,
     kde_fft,
     silverman_bandwidth,
@@ -87,7 +86,6 @@ __all__ = [
     "excess_mass",
     "find_modes",
     "find_trough",
-    "kde_auto",
     "kde_direct",
     "kde_fft",
     "resample_with_replacement",

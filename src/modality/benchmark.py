@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kde import FFT_SAMPLE_THRESHOLD, silverman_bandwidth
+from .kde import silverman_bandwidth
 from .modes import find_modes
 from .rng import MixtureSpec, sample_mixture
 from .solver import SolverOptions, critical_bandwidth
@@ -160,7 +160,6 @@ def run_table2(seeds=DEFAULT_SEEDS, opts: SolverOptions | None = None) -> list[B
 class ScalabilityRow:
     n: int
     seconds: float
-    kde_method: str
     h_crit: float
 
 
@@ -177,8 +176,7 @@ def run_scalability(sizes=(100, 1000, 10000), seed: int = 0,
         start = time.perf_counter()
         result = critical_bandwidth(x, k=base.k, opts=opts)
         elapsed = time.perf_counter() - start
-        method = "direct" if n <= FFT_SAMPLE_THRESHOLD else "fft"
-        rows.append(ScalabilityRow(n=n, seconds=elapsed, kde_method=method, h_crit=result.h_crit))
+        rows.append(ScalabilityRow(n=n, seconds=elapsed, h_crit=result.h_crit))
     return rows
 
 
@@ -210,15 +208,15 @@ def rows_to_text(rows: list[BenchmarkRow]) -> str:
 
 
 def scalability_to_csv(rows: list[ScalabilityRow]) -> str:
-    lines = ["n,seconds,kde_method,h_crit"]
+    lines = ["n,seconds,h_crit"]
     for r in rows:
-        lines.append(f"{r.n},{r.seconds!r},{r.kde_method},{r.h_crit!r}")
+        lines.append(f"{r.n},{r.seconds!r},{r.h_crit!r}")
     return "\n".join(lines) + "\n"
 
 
 def scalability_to_text(rows: list[ScalabilityRow]) -> str:
-    header = f"{'n':>8}  {'time (s)':>10}  {'KDE method':<10}  {'h_crit':>8}"
+    header = f"{'n':>8}  {'time (s)':>10}  {'h_crit':>8}"
     lines = [header, "-" * len(header)]
     for r in rows:
-        lines.append(f"{r.n:>8}  {r.seconds:>10.3f}  {r.kde_method:<10}  {r.h_crit:>8.4f}")
+        lines.append(f"{r.n:>8}  {r.seconds:>10.3f}  {r.h_crit:>8.4f}")
     return "\n".join(lines)

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotBimodalError, SolverError
-from .kde import as_sample, silverman_bandwidth
-from .modes import find_modes, find_trough
+from .kde import _kde_at, as_sample, silverman_bandwidth
+from .modes import _modes_of_curve, _trough_of_curve
 from .solver import SolverOptions, critical_bandwidth
 
 __all__ = [
@@ -70,13 +70,13 @@ def detect_components(x) -> Decomposition:
     a standard deviation of zero.
     """
     x = as_sample(x, min_size=2)
-    h = silverman_bandwidth(x)
-    modes = find_modes(x, h)
+    curve = _kde_at(x, silverman_bandwidth(x))
+    modes, _, _ = _modes_of_curve(curve)
     if modes.count < 2:
         raise NotBimodalError(
             "decomposition: sample is unimodal at the rule-of-thumb bandwidth"
         )
-    trough = find_trough(x, h)
+    trough = _trough_of_curve(curve)
     left = x[x <= trough.location]
     right = x[x > trough.location]
     if left.size == 0 or right.size == 0:

@@ -1,8 +1,10 @@
 """Gaussian kernel density estimation on a uniform grid.
 
-Two evaluation paths share one contract: a direct sum that is exact but
-O(n*g), and an FFT convolution that linear-bins the sample first and runs
-in O(g log g). ``kde_auto`` picks between them on sample size.
+``kde_fft`` is the package's one KDE engine, used for every sample size:
+it linear-bins the sample onto the grid and convolves with the Gaussian
+kernel by FFT in O(n + g log g) (binned KDE, Silverman 1982; Wand 1994).
+``kde_direct`` is the exact O(n*g) direct sum, kept as the oracle the
+engine is tested against.
 """
 
 from __future__ import annotations
@@ -22,15 +24,10 @@ __all__ = [
     "default_grid",
     "kde_direct",
     "kde_fft",
-    "kde_auto",
-    "FFT_SAMPLE_THRESHOLD",
     "GRID_MIN_POINTS",
     "GRID_MAX_POINTS",
     "GRID_CUT_BANDWIDTHS",
 ]
-
-# Direct evaluation above this sample size costs more than binning + FFT.
-FFT_SAMPLE_THRESHOLD = 5000
 
 # Grid sizing: g = max(GRID_MIN_POINTS, min(GRID_MAX_POINTS, n // 2)).
 GRID_MIN_POINTS = 800
@@ -88,6 +85,13 @@ class Grid:
             raise ValidationError("grid: points must be uniformly spaced")
         object.__setattr__(self, "points", pts)
 
+    @classmethod
+    def _linspace(cls, lo: float, hi: float, size: int) -> "Grid":
+        """``Grid(np.linspace(lo, hi, size))``, uniform by construction: no recheck."""
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "points", np.linspace(lo, hi, size))
+        return grid
+
     @property
     def size(self) -> int:
         return self.points.size
@@ -99,16 +103,11 @@ class Grid:
 
 @dataclass(frozen=True)
 class DensityCurve:
-    """KDE values over a grid at a fixed bandwidth.
-
-    ``method`` records which evaluation path produced the values
-    ("direct" or "fft").
-    """
+    """KDE values over a grid at a fixed bandwidth."""
 
     grid: Grid
     density: np.ndarray
     h: float
-    method: str
 
     def trapezoid_integral(self) -> float:
         return float(np.trapezoid(self.density, self.grid.points))
@@ -137,12 +136,14 @@ def silverman_bandwidth(x) -> float:
 
 def default_grid(x, h) -> Grid:
     """Adaptive grid spanning the data plus a cut of 3 bandwidths per side."""
-    x = as_sample(x)
+    return _default_grid(as_sample(x), h)
+
+
+def _default_grid(x: np.ndarray, h) -> Grid:
+    """:func:`default_grid` of a sample that is already validated and sorted."""
     h = _check_bandwidth(h)
     g = max(GRID_MIN_POINTS, min(GRID_MAX_POINTS, x.size // 2))
-    lo = x[0] - GRID_CUT_BANDWIDTHS * h
-    hi = x[-1] + GRID_CUT_BANDWIDTHS * h
-    return Grid(np.linspace(lo, hi, g))
+    return Grid._linspace(x[0] - GRID_CUT_BANDWIDTHS * h, x[-1] + GRID_CUT_BANDWIDTHS * h, g)
 
 
 def kde_direct(x, grid: Grid, h) -> DensityCurve:
@@ -159,7 +160,7 @@ def kde_direct(x, grid: Grid, h) -> DensityCurve:
         z = (block[:, None] - x[None, :]) * inv_h
         density[start : start + chunk] = np.exp(-0.5 * z * z).sum(axis=1)
     density /= x.size * h * _SQRT_2PI
-    return DensityCurve(grid=grid, density=density, h=h, method="direct")
+    return DensityCurve(grid=grid, density=density, h=h)
 
 
 def _linear_bin(x: np.ndarray, grid: Grid) -> np.ndarray:
@@ -207,12 +208,9 @@ def kde_fft(x, grid: Grid, h) -> DensityCurve:
 
     peak = density.max()
     density[np.abs(density) < _NEGATIVE_CLAMP_RATIO * peak] = 0.0
-    return DensityCurve(grid=grid, density=density, h=h, method="fft")
+    return DensityCurve(grid=grid, density=density, h=h)
 
 
-def kde_auto(x, grid: Grid, h) -> DensityCurve:
-    """Dispatch to the direct sum for n <= FFT_SAMPLE_THRESHOLD, else FFT."""
-    x = as_sample(x)
-    if x.size <= FFT_SAMPLE_THRESHOLD:
-        return kde_direct(x, grid, h)
-    return kde_fft(x, grid, h)
+def _kde_at(x: np.ndarray, h) -> DensityCurve:
+    """``kde_fft`` of a validated, sorted sample at ``h`` on its default grid."""
+    return kde_fft(x, _default_grid(x, h), h)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotBimodalError
-from .kde import DensityCurve, as_sample, default_grid, kde_auto
+from .kde import DensityCurve, _kde_at, as_sample
 
 __all__ = [
     "ModeSet",
@@ -143,9 +143,7 @@ def _modes_of_curve(curve: DensityCurve) -> tuple[ModeSet, np.ndarray, np.ndarra
 
 def find_modes(x, h) -> ModeSet:
     """Locate the modes of the KDE of ``x`` at bandwidth ``h``."""
-    x = as_sample(x)
-    curve = kde_auto(x, default_grid(x, h), h)
-    modes, _, _ = _modes_of_curve(curve)
+    modes, _, _ = _modes_of_curve(_kde_at(as_sample(x), h))
     return modes
 
 
@@ -173,6 +171,4 @@ def _trough_of_curve(curve: DensityCurve) -> Trough:
 
 def find_trough(x, h) -> Trough:
     """Locate the valley between the two tallest modes of the KDE at ``h``."""
-    x = as_sample(x)
-    curve = kde_auto(x, default_grid(x, h), h)
-    return _trough_of_curve(curve)
+    return _trough_of_curve(_kde_at(as_sample(x), h))

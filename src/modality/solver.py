@@ -10,6 +10,8 @@ The default path brackets the discrete mode-count transition around the
 rule-of-thumb bandwidth and bisects. An optional Brent path tracks the
 continuous valley-to-peak ratio instead and falls back to bisection when
 the transition cannot be verified.
+Each mode count is one binned-FFT KDE (``kde_fft``) on the sample's
+default grid, memoized on ``h``; ``iterations`` counts distinct bandwidths.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import CIUnreliableError, UnsupportedMethodError, ValidationError
-from .kde import as_sample, default_grid, kde_auto, silverman_bandwidth
+from .kde import _kde_at, as_sample, silverman_bandwidth
 from .modes import _modes_of_curve, count_modes
 from .rng import derive_seed, resample_with_replacement
 
@@ -91,15 +93,20 @@ class CritBandResult:
 
 
 class _ModeCounter:
-    """Counts KDE modes at a bandwidth, tracking evaluations."""
+    """Counts KDE modes at a bandwidth, evaluating each bandwidth once."""
 
     def __init__(self, x: np.ndarray):
         self.x = x
-        self.evals = 0
+        self._curves = {}
+
+    @property
+    def evals(self) -> int:
+        return len(self._curves)
 
     def curve(self, h: float):
-        self.evals += 1
-        return kde_auto(self.x, default_grid(self.x, h), h)
+        if h not in self._curves:
+            self._curves[h] = _kde_at(self.x, h)
+        return self._curves[h]
 
     def __call__(self, h: float) -> int:
         return count_modes(self.curve(h))
@@ -145,11 +152,12 @@ def _bracket(counter: _ModeCounter, h0: float, max_modes: int, opts: SolverOptio
 
 def _bisect(counter: _ModeCounter, h_lo: float, h_hi: float, max_modes: int,
             opts: SolverOptions) -> tuple[float, bool]:
-    """Shrink the bracket until (h_hi - h_lo) / h_hi < rel_tol."""
+    """Shrink the bracket until (h_hi - h_lo) / h_hi < rel_tol; give up after
+    ``max_iter`` evaluations or once it is two adjacent floats."""
     while (h_hi - h_lo) / h_hi >= opts.rel_tol:
-        if counter.evals >= opts.max_iter:
-            return h_hi, False
         mid = 0.5 * (h_lo + h_hi)
+        if counter.evals >= opts.max_iter or not h_lo < mid < h_hi:
+            return h_hi, False
         if counter(mid) <= max_modes:
             h_hi = mid
         else:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TestInconclusiveError, ValidationError
-from .kde import as_sample, default_grid, kde_auto, silverman_bandwidth
+from .kde import _kde_at, as_sample, silverman_bandwidth
 from .modes import count_modes
 from .rng import random_open01, standard_normals, substream
 from .solver import SolverOptions, critical_bandwidth
@@ -105,9 +105,7 @@ def silverman_test(x, mod0: int = 1, resamples: int = 999, seed: int = 0,
         idx = rng.integers(0, n, size=n)
         noise = standard_normals(rng, n)
         y = center + (x[idx] + h * noise - center) * shrink
-        y = np.sort(y)
-        curve = kde_auto(y, default_grid(y, h), h)
-        if count_modes(curve) > mod0:
+        if count_modes(_kde_at(np.sort(y), h)) > mod0:
             exceed += 1
     p = (1.0 + exceed) / (resamples + 1.0)
     return TestResult(statistic=h, p_value=p, resamples=resamples,
@@ -281,7 +279,7 @@ def excess_mass(x, h: float | None = None) -> ExcessMassCurve:
     x = as_sample(x, min_size=5)
     if h is None:
         h = silverman_bandwidth(x)
-    curve = kde_auto(x, default_grid(x, h), h)
+    curve = _kde_at(x, h)
     pts = curve.grid.points
     density = curve.density
     thresholds = np.linspace(0.0, density.max(), EXCESS_MASS_LEVELS)

@@ -19,7 +19,6 @@ from modality import (
     default_grid,
     detect_components,
     dip_statistic,
-    kde_auto,
     kde_direct,
     kde_fft,
     sample_mixture,
@@ -49,7 +48,7 @@ def _criterion(name: str, ok: bool, detail: str) -> None:
 
 
 def _count(x, h):
-    return count_modes(kde_auto(x, default_grid(x, h), h))
+    return count_modes(kde_fft(x, default_grid(x, h), h))
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +144,29 @@ def test_oracle_equivalence_fft_vs_direct():
         "oracle-equivalence-fft",
         worst <= 1e-4,
         f"worst relative sup-norm gap over 12 cases x 2 bandwidths: {worst:.2e}",
+    )
+
+
+def test_engine_brackets_direct_oracle_transition():
+    # the FFT engine's answer must straddle the exact direct-sum transition
+    # within 0.1% on every table2 case
+    misses = []
+    for case in CASES:
+        for seed in (0, 1, 2):
+            x = sample_mixture(case.spec, seed)
+            result = critical_bandwidth(x, k=case.k)
+            above, below = (
+                count_modes(kde_direct(x, default_grid(x, h), h))
+                for h in (result.h_crit * (1.0 + 1e-3), result.h_crit * (1.0 - 1e-3))
+            )
+            if not (result.success and above <= case.k - 1 and below >= case.k):
+                misses.append(f"{case.name}/seed{seed}: success {result.success}, "
+                              f"direct counts {below} below and {above} above")
+    _criterion(
+        "engine-vs-direct-oracle",
+        not misses,
+        "; ".join(misses) if misses else
+        "36 solves (12 cases x seeds 0-2) bracket the direct-sum transition within 0.1%",
     )
 
 
@@ -269,10 +291,9 @@ def test_performance_large_sample():
     start = time.perf_counter()
     result = critical_bandwidth(x, k=2)
     elapsed = time.perf_counter() - start
-    method = kde_auto(x, default_grid(x, result.h_crit), result.h_crit).method
-    ok = elapsed < 5.0 and method == "fft" and result.success
+    ok = elapsed < 5.0 and result.success
     _criterion(
         "performance-n10000",
         ok,
-        f"{elapsed:.2f}s (< 5s), KDE method {method}, h_crit {result.h_crit:.4f}",
+        f"{elapsed:.2f}s (< 5s), h_crit {result.h_crit:.4f}",
     )

@@ -172,12 +172,11 @@ def test_benchmark_single_case_values():
     assert "well_separated" in rows_to_text([row])
 
 
-def test_scalability_rows_report_method():
+def test_scalability_rows():
     rows = run_scalability(sizes=(100, 6000), seed=0)
-    assert rows[0].kde_method == "direct"
-    assert rows[1].kde_method == "fft"
-    assert all(r.seconds > 0 for r in rows)
-    assert "KDE method" in scalability_to_text(rows)
+    assert [r.n for r in rows] == [100, 6000]
+    assert all(r.seconds > 0 and r.h_crit > 0 for r in rows)
+    assert "h_crit" in scalability_to_text(rows)
 
 
 def test_benchmark_cli_writes_csv(tmp_path, capsys):
@@ -185,4 +184,4 @@ def test_benchmark_cli_writes_csv(tmp_path, capsys):
     assert main(["benchmark", "--suite", "scalability", "--seeds", "0..0",
                  "--out", str(out)]) == 0
     assert out.exists()
-    assert "kde_method" in out.read_text().splitlines()[0]
+    assert out.read_text().splitlines()[0] == "n,seconds,h_crit"

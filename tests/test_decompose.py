@@ -6,7 +6,10 @@ from modality import (
     NotBimodalError,
     bimodality_strength,
     detect_components,
+    find_modes,
+    find_trough,
     sample_mixture,
+    silverman_bandwidth,
 )
 from modality.decompose import classify_strength
 
@@ -86,3 +89,23 @@ def test_classify_strength_cutoffs():
     assert classify_strength(1.0) == "moderate"
     assert classify_strength(1.99) == "moderate"
     assert classify_strength(2.0) == "strong"
+
+
+def test_components_come_from_one_evaluation(well_separated, monkeypatch):
+    import modality.kde as kde_mod
+
+    h = silverman_bandwidth(well_separated)
+    assert find_modes(well_separated, h).count >= 2
+    trough = find_trough(well_separated, h)
+    seen = []
+    engine = kde_mod.kde_fft
+
+    def recording(x, grid, h):
+        seen.append(h)
+        return engine(x, grid, h)
+
+    monkeypatch.setattr(kde_mod, "kde_fft", recording)
+    decomp = detect_components(well_separated)
+    assert seen == [h]
+    assert decomp.separation_point == trough.location
+    assert decomp.dip_ratio == trough.ratio

@@ -8,13 +8,12 @@ from modality import (
     MixtureSpec,
     ValidationError,
     default_grid,
-    kde_auto,
     kde_direct,
     kde_fft,
     sample_mixture,
     silverman_bandwidth,
 )
-from modality.kde import FFT_SAMPLE_THRESHOLD, GRID_MAX_POINTS, GRID_MIN_POINTS
+from modality.kde import GRID_MAX_POINTS, GRID_MIN_POINTS
 
 
 def _hand_silverman(x):
@@ -72,18 +71,21 @@ def test_default_grid_span_is_three_bandwidths():
     grid = default_grid(x, 2.0)
     assert grid.points[0] == pytest.approx(-6.0)
     assert grid.points[-1] == pytest.approx(16.0)
+    # built without the spacing recheck, the points still pass it
+    np.testing.assert_array_equal(grid.points, Grid(np.linspace(-6.0, 16.0, grid.size)).points)
 
 
 def test_grid_rejects_nonuniform_points():
     with pytest.raises(ValidationError):
         Grid(np.array([0.0, 1.0, 3.0]))
+    with pytest.raises(ValidationError):
+        Grid(np.array([1.0, 0.0, -1.0]))
 
 
 def test_kde_direct_single_point_peak():
     grid = Grid(np.linspace(-4.0, 4.0, 801))
     curve = kde_direct(np.array([0.0]), grid, 1.0)
     assert curve.density[400] == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), rel=1e-12)
-    assert curve.method == "direct"
 
 
 def test_kde_direct_symmetry():
@@ -115,7 +117,6 @@ def test_kde_fft_single_point_peak():
     grid = Grid(np.linspace(-6.0, 6.0, 4001))
     curve = kde_fft(np.array([0.0]), grid, 1.0)
     assert curve.density.max() == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), rel=1e-3)
-    assert curve.method == "fft"
 
 
 def test_kde_fft_rejects_data_outside_grid():
@@ -153,19 +154,12 @@ def test_kde_scale_equivariance(well_separated):
     np.testing.assert_allclose(scaled.density, base.density / c, rtol=1e-10)
 
 
-@pytest.mark.parametrize("n,method", [(5000, "direct"), (5001, "fft")])
-def test_kde_auto_dispatch_threshold(n, method):
-    spec = MixtureSpec(((1.0, 0.0, 1.0),), n)
-    x = sample_mixture(spec, 1)
+@pytest.mark.parametrize("n", [5000, 5001])
+def test_fft_matches_direct_at_former_switch(n):
+    # n = 5000 and 5001 once took different evaluation paths
+    x = sample_mixture(MixtureSpec(((1.0, 0.0, 1.0),), n), 1)
     h = silverman_bandwidth(x)
-    curve = kde_auto(x, default_grid(x, h), h)
-    assert curve.method == method
-    assert n <= FFT_SAMPLE_THRESHOLD if method == "direct" else n > FFT_SAMPLE_THRESHOLD
-
-
-def test_kde_auto_equals_dispatched_path(well_separated):
-    h = silverman_bandwidth(well_separated)
-    grid = default_grid(well_separated, h)
-    auto = kde_auto(well_separated, grid, h)
-    direct = kde_direct(well_separated, grid, h)
-    np.testing.assert_array_equal(auto.density, direct.density)
+    grid = default_grid(x, h)
+    direct = kde_direct(x, grid, h)
+    fft = kde_fft(x, grid, h)
+    assert np.max(np.abs(fft.density - direct.density)) / direct.density.max() <= 1e-4

@@ -17,7 +17,7 @@ from tests.conftest import EXTREME_SEPARATION, UNEQUAL_WEIGHTS
 def _curve(values, lo=0.0, hi=1.0):
     values = np.asarray(values, dtype=float)
     return DensityCurve(
-        grid=Grid(np.linspace(lo, hi, values.size)), density=values, h=1.0, method="direct"
+        grid=Grid(np.linspace(lo, hi, values.size)), density=values, h=1.0
     )
 
 
@@ -95,7 +95,7 @@ def test_single_observation_mode_at_point():
 
 def test_mode_count_monotone_in_bandwidth():
     rng = np.random.default_rng(31)
-    from modality import default_grid, kde_auto
+    from modality import default_grid, kde_fft
 
     for _ in range(20):
         n = int(rng.integers(30, 400))
@@ -104,7 +104,7 @@ def test_mode_count_monotone_in_bandwidth():
         ]))
         span = x[-1] - x[0]
         counts = [
-            count_modes(kde_auto(x, default_grid(x, h), h))
+            count_modes(kde_fft(x, default_grid(x, h), h))
             for h in np.geomspace(span / 150, span, 30)
         ]
         assert all(a >= b for a, b in zip(counts[:-1], counts[1:]))

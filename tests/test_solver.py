@@ -12,14 +12,14 @@ from modality import (
     critical_bandwidth_brent,
     critical_bandwidth_ci,
     default_grid,
-    kde_auto,
+    kde_fft,
     sample_mixture,
 )
 from tests.conftest import EXTREME_SEPARATION, TRIMODAL, UNEQUAL_WEIGHTS, WELL_SEPARATED
 
 
 def _count(x, h):
-    return count_modes(kde_auto(x, default_grid(x, h), h))
+    return count_modes(kde_fft(x, default_grid(x, h), h))
 
 
 def test_well_separated_band_across_seeds():
@@ -221,3 +221,33 @@ def test_random_mixture_transitions():
         assert _count(x, r.h_crit) <= 1
         assert _count(x, r.h_crit * (1.0 - 10.0 * opts.rel_tol)) > 1
     assert verified >= 12
+
+
+def test_solve_evaluates_each_bandwidth_once(monkeypatch):
+    import modality.kde as kde_mod
+
+    seen = []
+    engine = kde_mod.kde_fft
+
+    def recording(x, grid, h):
+        seen.append(h)
+        return engine(x, grid, h)
+
+    monkeypatch.setattr(kde_mod, "kde_fft", recording)
+    for spec, k in ((WELL_SEPARATED, 2), (UNEQUAL_WEIGHTS, 2), (TRIMODAL, 3)):
+        for seed in range(3):
+            seen.clear()
+            r = critical_bandwidth(sample_mixture(spec, seed), k=k)
+            assert r.success
+            assert len(seen) == len(set(seen)) == r.iterations
+
+
+@pytest.mark.parametrize("method", ["binary", "brent"])
+@pytest.mark.parametrize("rel_tol", [1e-16, 1e-17])
+def test_tolerance_below_float_spacing_stops_unconverged(method, rel_tol):
+    # the bracket bottoms out at two adjacent floats before reaching rel_tol
+    x = sample_mixture(WELL_SEPARATED, 0)
+    r = critical_bandwidth(x, k=2, opts=SolverOptions(method=method, rel_tol=rel_tol))
+    assert not r.success
+    assert r.iterations <= SolverOptions().max_iter
+    assert _count(x, r.h_crit) <= 1
