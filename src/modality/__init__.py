@@ -23,7 +23,6 @@ from .errors import (
     NotBimodalError,
     SolverError,
     TestInconclusiveError,
-    UnsupportedMethodError,
     ValidationError,
 )
 from .io import Table, parse_markdown_table, read_data
@@ -42,7 +41,6 @@ from .solver import (
     CritBandResult,
     SolverOptions,
     critical_bandwidth,
-    critical_bandwidth_brent,
     critical_bandwidth_ci,
 )
 from .stattests import (
@@ -77,7 +75,6 @@ __all__ = [
     "bimodality_strength",
     "count_modes",
     "critical_bandwidth",
-    "critical_bandwidth_brent",
     "critical_bandwidth_ci",
     "default_grid",
     "detect_components",
@@ -99,7 +96,6 @@ __all__ = [
     "GridSpanError",
     "DataFormatError",
     "NotBimodalError",
-    "UnsupportedMethodError",
     "SolverError",
     "CIUnreliableError",
     "TestInconclusiveError",

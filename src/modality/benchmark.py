@@ -21,7 +21,7 @@ import numpy as np
 from .kde import silverman_bandwidth
 from .modes import find_modes
 from .rng import MixtureSpec, sample_mixture
-from .solver import SolverOptions, critical_bandwidth
+from .solver import critical_bandwidth
 
 __all__ = [
     "BenchmarkCase",
@@ -119,12 +119,12 @@ def _status(case: BenchmarkCase, mean: float, cv: float, modes: int) -> str:
     return "ok" if not problems else "; ".join(problems)
 
 
-def run_case(case: BenchmarkCase, seeds=DEFAULT_SEEDS, opts: SolverOptions | None = None) -> BenchmarkRow:
+def run_case(case: BenchmarkCase, seeds=DEFAULT_SEEDS) -> BenchmarkRow:
     values, counts = [], []
     failures = 0
     for seed in seeds:
         x = sample_mixture(case.spec, seed)
-        result = critical_bandwidth(x, k=case.k, opts=opts)
+        result = critical_bandwidth(x, k=case.k)
         if result.success:
             values.append(result.h_crit)
         else:
@@ -152,8 +152,8 @@ def run_case(case: BenchmarkCase, seeds=DEFAULT_SEEDS, opts: SolverOptions | Non
     )
 
 
-def run_table2(seeds=DEFAULT_SEEDS, opts: SolverOptions | None = None) -> list[BenchmarkRow]:
-    return [run_case(case, seeds, opts) for case in CASES]
+def run_table2(seeds=DEFAULT_SEEDS) -> list[BenchmarkRow]:
+    return [run_case(case, seeds) for case in CASES]
 
 
 @dataclass(frozen=True)
@@ -163,8 +163,7 @@ class ScalabilityRow:
     h_crit: float
 
 
-def run_scalability(sizes=(100, 1000, 10000), seed: int = 0,
-                    opts: SolverOptions | None = None) -> list[ScalabilityRow]:
+def run_scalability(sizes=(100, 1000, 10000), seed: int = 0) -> list[ScalabilityRow]:
     """Time the bandwidth search on the well-separated mixture per size.
 
     Timings are reported, never asserted; they are machine-specific.
@@ -174,7 +173,7 @@ def run_scalability(sizes=(100, 1000, 10000), seed: int = 0,
     for n in sizes:
         x = sample_mixture(MixtureSpec(base.components, n), seed)
         start = time.perf_counter()
-        result = critical_bandwidth(x, k=base.k, opts=opts)
+        result = critical_bandwidth(x, k=base.k)
         elapsed = time.perf_counter() - start
         rows.append(ScalabilityRow(n=n, seconds=elapsed, h_crit=result.h_crit))
     return rows

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import benchmark as bench
-from .decompose import bimodality_strength, detect_components
+from .decompose import _components_of_curve, _strength_of, detect_components
 from .errors import (
     ModalityError,
     NotBimodalError,
@@ -29,8 +29,8 @@ from .errors import (
     ValidationError,
 )
 from .io import read_data
-from .kde import silverman_bandwidth
-from .modes import find_modes
+from .kde import _kde_at, silverman_bandwidth
+from .modes import _modes_of_curve, find_modes
 from .solver import critical_bandwidth, critical_bandwidth_ci
 from .stattests import dip_test, excess_mass, silverman_test
 
@@ -127,12 +127,16 @@ def cmd_analyze(args) -> int:
               f"iterations={result.iterations})", file=sys.stderr)
         return EXIT_METHOD
 
-    mode_set = find_modes(x, h_silverman)
+    # read_data returns a validated, sorted sample, as _kde_at requires; the
+    # one curve at h0 gives both the modes and the decomposition
+    curve = _kde_at(x, h_silverman)
+    mode_set, _, _ = _modes_of_curve(curve)
     decomposition = None
     if mode_set.count >= 2:
-        decomposition = _decomposition_payload(detect_components(x))
+        decomposition = _decomposition_payload(_components_of_curve(x, curve))
     try:
-        strength = bimodality_strength(x)
+        strength = _strength_of(result if args.k == 2 else critical_bandwidth(x, k=2),
+                                h_silverman)
         strength_payload = {"ratio": strength.ratio, "label": strength.label}
     except SolverError:
         strength_payload = None

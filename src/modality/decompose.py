@@ -9,7 +9,7 @@ import numpy as np
 from .errors import NotBimodalError, SolverError
 from .kde import _kde_at, as_sample, silverman_bandwidth
 from .modes import _modes_of_curve, _trough_of_curve
-from .solver import SolverOptions, critical_bandwidth
+from .solver import CritBandResult, SolverOptions, critical_bandwidth
 
 __all__ = [
     "Component",
@@ -70,7 +70,11 @@ def detect_components(x) -> Decomposition:
     a standard deviation of zero.
     """
     x = as_sample(x, min_size=2)
-    curve = _kde_at(x, silverman_bandwidth(x))
+    return _components_of_curve(x, _kde_at(x, silverman_bandwidth(x)))
+
+
+def _components_of_curve(x: np.ndarray, curve) -> Decomposition:
+    """:func:`detect_components` of a sorted sample, split on its curve at h0."""
     modes, _, _ = _modes_of_curve(curve)
     if modes.count < 2:
         raise NotBimodalError(
@@ -111,8 +115,12 @@ def bimodality_strength(x, opts: SolverOptions | None = None) -> StrengthReport:
     invariant. Labels follow the module cutoffs.
     """
     x = as_sample(x, min_size=3)
-    result = critical_bandwidth(x, k=2, opts=opts)
+    return _strength_of(critical_bandwidth(x, k=2, opts=opts), silverman_bandwidth(x))
+
+
+def _strength_of(result: CritBandResult, h0: float) -> StrengthReport:
+    """:func:`bimodality_strength` from a k = 2 solve and the rule-of-thumb bandwidth."""
     if not result.success:
         raise SolverError("strength: critical bandwidth search did not verify a transition")
-    ratio = result.h_crit / silverman_bandwidth(x)
+    ratio = result.h_crit / h0
     return StrengthReport(ratio=float(ratio), label=classify_strength(float(ratio)))

@@ -41,10 +41,6 @@ class NotBimodalError(ModalityError):
     """An operation that needs at least two modes saw fewer."""
 
 
-class UnsupportedMethodError(ModalityError):
-    """A solver or test variant does not support the requested parameters."""
-
-
 class SolverError(ModalityError):
     """The bandwidth search failed and no usable estimate exists."""
 

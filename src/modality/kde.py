@@ -9,6 +9,7 @@ engine is tested against.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,36 +70,29 @@ def _check_bandwidth(h) -> float:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniformly spaced evaluation points."""
+    """``size`` evaluation points ``start + i * spacing``, uniform by construction."""
 
-    points: np.ndarray
+    start: float
+    spacing: float
+    size: int
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 1 or pts.size < 2:
-            raise ValidationError("grid: need at least 2 points")
-        spacing = np.diff(pts)
-        if not np.all(spacing > 0):
-            raise ValidationError("grid: points must be strictly increasing")
-        mean_step = (pts[-1] - pts[0]) / (pts.size - 1)
-        if np.max(np.abs(spacing - mean_step)) > 1e-12 * max(abs(pts[0]), abs(pts[-1]), mean_step):
-            raise ValidationError("grid: points must be uniformly spaced")
-        object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def _linspace(cls, lo: float, hi: float, size: int) -> "Grid":
-        """``Grid(np.linspace(lo, hi, size))``, uniform by construction: no recheck."""
-        grid = object.__new__(cls)
-        object.__setattr__(grid, "points", np.linspace(lo, hi, size))
-        return grid
+        object.__setattr__(self, "size", operator.index(self.size))
+        if not np.isfinite(self.start):
+            raise ValidationError(f"grid: start must be finite, got {self.start!r}")
+        if not (np.isfinite(self.spacing) and self.spacing > 0.0):
+            raise ValidationError(f"grid: spacing must be a positive finite real, got {self.spacing!r}")
+        if self.size < 2:
+            raise ValidationError(f"grid: need at least 2 points, got {self.size}")
 
     @property
-    def size(self) -> int:
-        return self.points.size
+    def points(self) -> np.ndarray:
+        # np.linspace's arithmetic, except that linspace pins its last point to its stop
+        return np.arange(self.size) * self.spacing + self.start
 
     @property
-    def spacing(self) -> float:
-        return (self.points[-1] - self.points[0]) / (self.points.size - 1)
+    def stop(self) -> float:
+        return (self.size - 1) * self.spacing + self.start
 
 
 @dataclass(frozen=True)
@@ -143,7 +137,9 @@ def _default_grid(x: np.ndarray, h) -> Grid:
     """:func:`default_grid` of a sample that is already validated and sorted."""
     h = _check_bandwidth(h)
     g = max(GRID_MIN_POINTS, min(GRID_MAX_POINTS, x.size // 2))
-    return Grid._linspace(x[0] - GRID_CUT_BANDWIDTHS * h, x[-1] + GRID_CUT_BANDWIDTHS * h, g)
+    lo = x[0] - GRID_CUT_BANDWIDTHS * h
+    hi = x[-1] + GRID_CUT_BANDWIDTHS * h
+    return Grid(lo, (hi - lo) / (g - 1), g)
 
 
 def kde_direct(x, grid: Grid, h) -> DensityCurve:
@@ -165,17 +161,15 @@ def kde_direct(x, grid: Grid, h) -> DensityCurve:
 
 def _linear_bin(x: np.ndarray, grid: Grid) -> np.ndarray:
     """Split each observation's unit mass between its two nearest grid points."""
-    pts = grid.points
-    delta = grid.spacing
-    pos = (x - pts[0]) / delta
+    pos = (x - grid.start) / grid.spacing
     left = np.floor(pos).astype(np.int64)
     frac = pos - left
     # observations exactly on the last grid point
-    at_end = left == pts.size - 1
+    at_end = left == grid.size - 1
     left[at_end] -= 1
     frac[at_end] = 1.0
-    counts = np.bincount(left, weights=1.0 - frac, minlength=pts.size)
-    counts += np.bincount(left + 1, weights=frac, minlength=pts.size)
+    counts = np.bincount(left, weights=1.0 - frac, minlength=grid.size)
+    counts += np.bincount(left + 1, weights=frac, minlength=grid.size)
     return counts
 
 
@@ -189,22 +183,20 @@ def kde_fft(x, grid: Grid, h) -> DensityCurve:
     """
     x = as_sample(x)
     h = _check_bandwidth(h)
-    pts = grid.points
-    if x[0] < pts[0] or x[-1] > pts[-1]:
+    if x[0] < grid.start or x[-1] > grid.stop:
         raise GridSpanError(
             f"grid: data range [{x[0]:g}, {x[-1]:g}] exceeds grid span "
-            f"[{pts[0]:g}, {pts[-1]:g}]"
+            f"[{grid.start:g}, {grid.stop:g}]"
         )
-    delta = grid.spacing
     counts = _linear_bin(x, grid)
 
-    half_width = int(np.ceil(_KERNEL_SUPPORT_BANDWIDTHS * h / delta))
-    offsets = np.arange(-half_width, half_width + 1) * delta
+    half_width = int(np.ceil(_KERNEL_SUPPORT_BANDWIDTHS * h / grid.spacing))
+    offsets = np.arange(-half_width, half_width + 1) * grid.spacing
     kernel = np.exp(-0.5 * (offsets / h) ** 2) / (h * _SQRT_2PI)
 
-    m = next_fast_len(pts.size + 2 * half_width)
+    m = next_fast_len(grid.size + 2 * half_width)
     conv = np.fft.irfft(np.fft.rfft(counts, m) * np.fft.rfft(kernel, m), m)
-    density = conv[half_width : half_width + pts.size] / x.size
+    density = conv[half_width : half_width + grid.size] / x.size
 
     peak = density.max()
     density[np.abs(density) < _NEGATIVE_CLAMP_RATIO * peak] = 0.0

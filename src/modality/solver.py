@@ -6,12 +6,11 @@ of bandwidths whose estimate has at most ``k - 1`` modes. Large values
 mean heavy smoothing is needed to merge the k-th mode away, which is the
 signature of strong multimodal structure; ``k=2`` probes bimodality.
 
-The default path brackets the discrete mode-count transition around the
-rule-of-thumb bandwidth and bisects. An optional Brent path tracks the
-continuous valley-to-peak ratio instead and falls back to bisection when
-the transition cannot be verified.
-Each mode count is one binned-FFT KDE (``kde_fft``) on the sample's
-default grid, memoized on ``h``; ``iterations`` counts distinct bandwidths.
+The search brackets the discrete mode-count transition around the
+rule-of-thumb bandwidth and bisects it, then verifies the count on both
+sides of the answer. Each mode count is one binned-FFT KDE (``kde_fft``)
+on the sample's default grid, memoized on ``h``; ``iterations`` counts
+distinct bandwidths.
 """
 
 from __future__ import annotations
@@ -20,18 +19,16 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import CIUnreliableError, UnsupportedMethodError, ValidationError
+from .errors import CIUnreliableError, ValidationError
 from .kde import _kde_at, as_sample, silverman_bandwidth
-from .modes import _modes_of_curve, count_modes
+from .modes import count_modes
 from .rng import derive_seed, resample_with_replacement
 
 __all__ = [
     "SolverOptions",
     "CritBandResult",
     "critical_bandwidth",
-    "critical_bandwidth_brent",
     "critical_bandwidth_ci",
     "DEFAULT_CI_RESAMPLES",
 ]
@@ -43,9 +40,6 @@ _BRACKET_FLOOR_RATIO = 1e-6
 # The upper bracket never grows past this multiple of the data range.
 _BRACKET_CAP_RANGES = 2.0
 
-# Valley-to-peak gap at which the Brent objective declares two peaks merged.
-_MERGE_EPS = 1e-3
-
 DEFAULT_CI_RESAMPLES = 999
 
 _LARGE_SAMPLE = 5000
@@ -55,14 +49,11 @@ _LARGE_SAMPLE = 5000
 class SolverOptions:
     """Tuning knobs for the bandwidth search."""
 
-    method: str = "auto"
     rel_tol: float = 1e-4
     max_iter: int = 200
     bracket_growth: float = 2.0
 
     def __post_init__(self):
-        if self.method not in ("auto", "binary", "brent"):
-            raise ValidationError(f"method: expected auto|binary|brent, got {self.method!r}")
         if not 0.0 < self.rel_tol < 0.1:
             raise ValidationError(f"rel_tol: must be in (0, 0.1), got {self.rel_tol}")
         if self.max_iter < 10:
@@ -97,19 +88,16 @@ class _ModeCounter:
 
     def __init__(self, x: np.ndarray):
         self.x = x
-        self._curves = {}
+        self._counts = {}
 
     @property
     def evals(self) -> int:
-        return len(self._curves)
-
-    def curve(self, h: float):
-        if h not in self._curves:
-            self._curves[h] = _kde_at(self.x, h)
-        return self._curves[h]
+        return len(self._counts)
 
     def __call__(self, h: float) -> int:
-        return count_modes(self.curve(h))
+        if h not in self._counts:
+            self._counts[h] = count_modes(_kde_at(self.x, h))
+        return self._counts[h]
 
 
 def _validate_inputs(x, k: int) -> np.ndarray:
@@ -171,7 +159,17 @@ def _verify_transition(counter: _ModeCounter, h: float, max_modes: int,
     return counter(h) <= max_modes and counter(below) > max_modes
 
 
-def _solve_binary(counter: _ModeCounter, k: int, opts: SolverOptions) -> CritBandResult:
+def critical_bandwidth(x, k: int = 2, opts: SolverOptions | None = None) -> CritBandResult:
+    """Smallest bandwidth at which the KDE of ``x`` has fewer than ``k`` modes.
+
+    The returned ``h_crit`` is the upper end of the final bracket, so the
+    estimate at ``h_crit`` always satisfies the at-most-``k - 1`` mode
+    bound; ``success`` additionally confirms the count exceeds the bound
+    just below. ``k=1`` has no attainable target (every density has at
+    least one mode) and reports ``success=False``.
+    """
+    opts = opts or SolverOptions()
+    counter = _ModeCounter(_validate_inputs(x, k))
     max_modes = k - 1
     h0 = silverman_bandwidth(counter.x)
     h_lo, h_hi, failed_at = _bracket(counter, h0, max_modes, opts)
@@ -183,93 +181,6 @@ def _solve_binary(counter: _ModeCounter, k: int, opts: SolverOptions) -> CritBan
     h_crit, converged = _bisect(counter, h_lo, h_hi, max_modes, opts)
     success = converged and _verify_transition(counter, h_crit, max_modes, opts)
     return CritBandResult(h_crit=h_crit, success=success, k=k, iterations=counter.evals)
-
-
-def critical_bandwidth(x, k: int = 2, opts: SolverOptions | None = None) -> CritBandResult:
-    """Smallest bandwidth at which the KDE of ``x`` has fewer than ``k`` modes.
-
-    The returned ``h_crit`` is the upper end of the final bracket, so the
-    estimate at ``h_crit`` always satisfies the at-most-``k - 1`` mode
-    bound; ``success`` additionally confirms the count exceeds the bound
-    just below. ``k=1`` has no attainable target (every density has at
-    least one mode) and reports ``success=False``.
-    """
-    opts = opts or SolverOptions()
-    x = _validate_inputs(x, k)
-    if opts.method == "brent":
-        return critical_bandwidth_brent(x, k, opts)
-    return _solve_binary(_ModeCounter(x), k, opts)
-
-
-def _merge_gap(counter: _ModeCounter, h: float) -> float:
-    """Continuous merge objective: valley-to-smaller-peak gap minus eps.
-
-    Positive once the two leading peaks have effectively merged (or the
-    estimate is already unimodal), negative while a clear valley remains.
-    """
-    curve = counter.curve(h)
-    modes, starts, ends = _modes_of_curve(curve)
-    if modes.count < 2:
-        return 1.0 - _MERGE_EPS
-    order = np.lexsort((np.arange(modes.count), -modes.heights))
-    i, j = sorted(order[:2])
-    valley = curve.density[ends[i] + 1 : starts[j]].min()
-    ratio = valley / min(modes.heights[i], modes.heights[j])
-    return float(ratio) - (1.0 - _MERGE_EPS)
-
-
-def critical_bandwidth_brent(x, k: int = 2, opts: SolverOptions | None = None) -> CritBandResult:
-    """Brent-based variant of :func:`critical_bandwidth`, k=2 only.
-
-    Tracks the valley-to-peak ratio of the two leading peaks, which rises
-    continuously toward 1 as they merge, and root-finds the near-merge
-    point. The root is then polished against the discrete mode count; if
-    no verified transition surrounds it (the objective can jump when the
-    identity of the two leading peaks switches), the solver falls back to
-    the plain bracketed bisection, with all evaluations counted.
-    """
-    opts = opts or SolverOptions()
-    x = _validate_inputs(x, k)
-    if k != 2:
-        raise UnsupportedMethodError("brent path supports k=2 only (needs exactly two leading peaks)")
-    counter = _ModeCounter(x)
-    max_modes = 1
-    h0 = silverman_bandwidth(x)
-    h_lo, h_hi, failed_at = _bracket(counter, h0, max_modes, opts)
-    if failed_at is not None:
-        return _solve_binary(_ModeCounter(x), k, opts)
-
-    f_lo = _merge_gap(counter, h_lo)
-    f_hi = _merge_gap(counter, h_hi)
-    root = None
-    if f_lo < 0.0 < f_hi:
-        try:
-            root = brentq(lambda h: _merge_gap(counter, h), h_lo, h_hi,
-                          rtol=opts.rel_tol, maxiter=opts.max_iter)
-        except (ValueError, RuntimeError):
-            root = None
-
-    if root is not None:
-        # polish: widen a tight window around the root until it straddles
-        # the discrete transition, then bisect as usual
-        lo = max(root * (1.0 - 10.0 * opts.rel_tol), h_lo)
-        hi = min(root * (1.0 + 10.0 * opts.rel_tol), h_hi)
-        c_lo = counter(lo)
-        while c_lo <= max_modes and lo > h_lo:
-            lo = max(lo / opts.bracket_growth, h_lo)
-            c_lo = counter(lo)
-        c_hi = counter(hi)
-        while c_hi > max_modes and hi < h_hi:
-            hi = min(hi * opts.bracket_growth, h_hi)
-            c_hi = counter(hi)
-        if c_lo > max_modes and c_hi <= max_modes and counter.evals < opts.max_iter:
-            h_crit, converged = _bisect(counter, lo, hi, max_modes, opts)
-            if converged and _verify_transition(counter, h_crit, max_modes, opts):
-                return CritBandResult(h_crit=h_crit, success=True, k=k,
-                                      iterations=counter.evals)
-
-    # unverified or discontinuous objective: binary fallback
-    return _solve_binary(counter, k, opts)
 
 
 def critical_bandwidth_ci(x, k: int = 2, resamples: int | None = None, seed: int = 0,

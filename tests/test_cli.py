@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from modality import sample_mixture
+from modality import (
+    bimodality_strength,
+    detect_components,
+    find_modes,
+    read_data,
+    sample_mixture,
+    silverman_bandwidth,
+)
 from modality.benchmark import (
     CASES,
     rows_to_csv,
@@ -11,7 +18,7 @@ from modality.benchmark import (
     run_scalability,
     scalability_to_text,
 )
-from modality.cli import main
+from modality.cli import _decomposition_payload, _modes_payload, main
 from tests.conftest import WELL_SEPARATED
 
 
@@ -53,6 +60,44 @@ def test_analyze_json_schema(wellsep_csv, capsys):
     assert report["modes"]["count"] == 2
     assert report["strength"]["label"] == "strong"
     assert report["decomposition"]["component1"]["mean"] == pytest.approx(-2.0, abs=0.1)
+
+
+def test_analyze_evaluates_each_bandwidth_once(wellsep_csv, capsys, monkeypatch):
+    import modality.kde as kde_mod
+
+    seen = []
+    engine = kde_mod.kde_fft
+
+    def recording(x, grid, h):
+        seen.append(h)
+        return engine(x, grid, h)
+
+    monkeypatch.setattr(kde_mod, "kde_fft", recording)
+    assert main(["analyze", str(wellsep_csv), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    # one k = 2 solve, reused for the strength, then one curve at h0 for the
+    # modes and the decomposition; the solve itself starts at h0
+    assert len(seen) == report["iterations"] + 1
+    assert len(set(seen[:-1])) == report["iterations"]
+    assert seen[-1] == seen[0] == report["h_silverman"]
+
+
+@pytest.mark.parametrize("flags", [
+    pytest.param(["--k", "2"], id="k2"),
+    pytest.param(["--k", "3"], id="k3"),
+    pytest.param(["--ci", "--resamples", "99"], id="ci"),
+])
+def test_analyze_report_matches_library(wellsep_csv, capsys, flags):
+    assert main(["analyze", str(wellsep_csv), "--format", "json", *flags]) == 0
+    report = json.loads(capsys.readouterr().out)
+    x = read_data(wellsep_csv)
+    strength = bimodality_strength(x)
+    expected = {
+        "modes": _modes_payload(find_modes(x, silverman_bandwidth(x))),
+        "decomposition": _decomposition_payload(detect_components(x)),
+        "strength": {"ratio": strength.ratio, "label": strength.label},
+    }
+    assert {key: report[key] for key in expected} == json.loads(json.dumps(expected))
 
 
 def test_analyze_ci_flag(wellsep_csv, capsys):

@@ -69,28 +69,35 @@ def test_default_grid_size_rule(n, expected):
 def test_default_grid_span_is_three_bandwidths():
     x = np.array([0.0, 10.0])
     grid = default_grid(x, 2.0)
-    assert grid.points[0] == pytest.approx(-6.0)
-    assert grid.points[-1] == pytest.approx(16.0)
-    # built without the spacing recheck, the points still pass it
-    np.testing.assert_array_equal(grid.points, Grid(np.linspace(-6.0, 16.0, grid.size)).points)
+    assert grid.start == pytest.approx(-6.0)
+    assert grid.stop == pytest.approx(16.0)
+    # every point but the last is bit-for-bit np.linspace's, which pins the last to its stop
+    linspace = np.linspace(-6.0, 16.0, grid.size)
+    np.testing.assert_array_equal(grid.points[:-1], linspace[:-1])
+    assert grid.points[-1] == grid.stop == pytest.approx(linspace[-1], rel=1e-15)
 
 
-def test_grid_rejects_nonuniform_points():
+@pytest.mark.parametrize("start,spacing,size", [
+    pytest.param(0.0, 0.0, 10, id="zero_spacing"),
+    pytest.param(0.0, -0.5, 10, id="negative_spacing"),
+    pytest.param(np.nan, 0.5, 10, id="nan_start"),
+    pytest.param(0.0, np.inf, 10, id="inf_spacing"),
+    pytest.param(0.0, 0.5, 1, id="one_point"),
+])
+def test_grid_rejects_invalid_triple(start, spacing, size):
     with pytest.raises(ValidationError):
-        Grid(np.array([0.0, 1.0, 3.0]))
-    with pytest.raises(ValidationError):
-        Grid(np.array([1.0, 0.0, -1.0]))
+        Grid(start, spacing, size)
 
 
 def test_kde_direct_single_point_peak():
-    grid = Grid(np.linspace(-4.0, 4.0, 801))
+    grid = Grid(-4.0, 0.01, 801)
     curve = kde_direct(np.array([0.0]), grid, 1.0)
     assert curve.density[400] == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), rel=1e-12)
 
 
 def test_kde_direct_symmetry():
     x = np.array([-1.5, 1.5])
-    grid = Grid(np.linspace(-5.0, 5.0, 1001))
+    grid = Grid(-5.0, 0.01, 1001)
     curve = kde_direct(x, grid, 0.7)
     np.testing.assert_allclose(curve.density, curve.density[::-1], atol=1e-12)
 
@@ -114,13 +121,13 @@ def test_kde_normalization_band_holds_broadly():
 
 
 def test_kde_fft_single_point_peak():
-    grid = Grid(np.linspace(-6.0, 6.0, 4001))
+    grid = Grid(-6.0, 0.003, 4001)
     curve = kde_fft(np.array([0.0]), grid, 1.0)
     assert curve.density.max() == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), rel=1e-3)
 
 
 def test_kde_fft_rejects_data_outside_grid():
-    grid = Grid(np.linspace(0.0, 1.0, 100))
+    grid = Grid(0.0, 1.0 / 99, 100)
     with pytest.raises(GridSpanError):
         kde_fft(np.array([-0.5, 0.5]), grid, 0.1)
 
@@ -150,7 +157,7 @@ def test_kde_scale_equivariance(well_separated):
     h = silverman_bandwidth(well_separated)
     grid = default_grid(well_separated, h)
     base = kde_direct(well_separated, grid, h)
-    scaled = kde_direct(c * well_separated, Grid(c * grid.points), c * h)
+    scaled = kde_direct(c * well_separated, Grid(c * grid.start, c * grid.spacing, grid.size), c * h)
     np.testing.assert_allclose(scaled.density, base.density / c, rtol=1e-10)
 
 

@@ -17,7 +17,7 @@ from tests.conftest import EXTREME_SEPARATION, UNEQUAL_WEIGHTS
 def _curve(values, lo=0.0, hi=1.0):
     values = np.asarray(values, dtype=float)
     return DensityCurve(
-        grid=Grid(np.linspace(lo, hi, values.size)), density=values, h=1.0
+        grid=Grid(lo, (hi - lo) / (values.size - 1), values.size), density=values, h=1.0
     )
 
 

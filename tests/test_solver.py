@@ -1,15 +1,18 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import modality
 from modality import (
     CIUnreliableError,
     MixtureSpec,
     SolverOptions,
-    UnsupportedMethodError,
     ValidationError,
     count_modes,
     critical_bandwidth,
-    critical_bandwidth_brent,
     critical_bandwidth_ci,
     default_grid,
     kde_fft,
@@ -125,39 +128,7 @@ def test_options_validation():
     with pytest.raises(ValidationError):
         SolverOptions(max_iter=5)
     with pytest.raises(ValidationError):
-        SolverOptions(method="newton")
-    with pytest.raises(ValidationError):
         SolverOptions(bracket_growth=1.0)
-
-
-def test_brent_agrees_with_binary(well_separated):
-    opts = SolverOptions()
-    binary = critical_bandwidth(well_separated, k=2, opts=opts)
-    brent = critical_bandwidth_brent(well_separated, k=2, opts=opts)
-    assert brent.success
-    assert abs(brent.h_crit - binary.h_crit) <= 5.0 * opts.rel_tol * binary.h_crit
-
-
-def test_brent_on_unequal_weights_satisfies_transition():
-    # the leading-peak identity can switch with h here; the solver must
-    # still land a verified transition (falling back if needed)
-    opts = SolverOptions()
-    x = sample_mixture(UNEQUAL_WEIGHTS, 0)
-    r = critical_bandwidth_brent(x, k=2, opts=opts)
-    assert r.success
-    assert _count(x, r.h_crit) <= 1
-    assert _count(x, r.h_crit * (1.0 - 10.0 * opts.rel_tol)) > 1
-
-
-def test_brent_rejects_other_k(well_separated):
-    with pytest.raises(UnsupportedMethodError):
-        critical_bandwidth_brent(well_separated, k=3)
-
-
-def test_method_option_routes_to_brent(well_separated):
-    via_option = critical_bandwidth(well_separated, k=2, opts=SolverOptions(method="brent"))
-    direct = critical_bandwidth_brent(well_separated, k=2)
-    assert via_option == direct
 
 
 def test_ci_point_estimate_independent_of_ci_machinery(well_separated):
@@ -242,12 +213,19 @@ def test_solve_evaluates_each_bandwidth_once(monkeypatch):
             assert len(seen) == len(set(seen)) == r.iterations
 
 
-@pytest.mark.parametrize("method", ["binary", "brent"])
 @pytest.mark.parametrize("rel_tol", [1e-16, 1e-17])
-def test_tolerance_below_float_spacing_stops_unconverged(method, rel_tol):
+def test_tolerance_below_float_spacing_stops_unconverged(rel_tol):
     # the bracket bottoms out at two adjacent floats before reaching rel_tol
     x = sample_mixture(WELL_SEPARATED, 0)
-    r = critical_bandwidth(x, k=2, opts=SolverOptions(method=method, rel_tol=rel_tol))
+    r = critical_bandwidth(x, k=2, opts=SolverOptions(rel_tol=rel_tol))
     assert not r.success
     assert r.iterations <= SolverOptions().max_iter
     assert _count(x, r.h_crit) <= 1
+
+
+def test_import_does_not_load_scipy_optimize():
+    src = str(Path(modality.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import modality; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
