@@ -31,7 +31,7 @@ from .errors import (
 from .io import read_data
 from .kde import _kde_at, silverman_bandwidth
 from .modes import _modes_of_curve, find_modes
-from .solver import critical_bandwidth, critical_bandwidth_ci
+from .solver import _solve, _validate_inputs, critical_bandwidth_ci
 from .stattests import dip_test, excess_mass, silverman_test
 
 __all__ = ["main"]
@@ -121,22 +121,28 @@ def cmd_analyze(args) -> int:
     if args.ci:
         result = critical_bandwidth_ci(x, k=args.k, resamples=args.resamples, seed=args.seed)
     else:
-        result = critical_bandwidth(x, k=args.k)
+        x = _validate_inputs(x, args.k)
+
+    # read_data returns a validated, sorted sample, as _kde_at requires. The
+    # one curve at h0 gives the modes, the decomposition and the first mode
+    # count of the solves below, which start at h0
+    curve = _kde_at(x, h_silverman)
+    mode_runs = _modes_of_curve(curve)
+    mode_set = mode_runs[0]
+    counts = {h_silverman: int(mode_set.count)}
+    if not args.ci:
+        result = _solve(x, args.k, counts=counts)
     if not result.success:
         print(f"error: critical bandwidth search failed (k={args.k}, "
               f"iterations={result.iterations})", file=sys.stderr)
         return EXIT_METHOD
 
-    # read_data returns a validated, sorted sample, as _kde_at requires; the
-    # one curve at h0 gives both the modes and the decomposition
-    curve = _kde_at(x, h_silverman)
-    mode_set, _, _ = _modes_of_curve(curve)
     decomposition = None
     if mode_set.count >= 2:
-        decomposition = _decomposition_payload(_components_of_curve(x, curve))
+        decomposition = _decomposition_payload(_components_of_curve(x, curve, mode_runs))
     try:
-        strength = _strength_of(result if args.k == 2 else critical_bandwidth(x, k=2),
-                                h_silverman)
+        solved = result if args.k == 2 else _solve(x, 2, counts=counts)
+        strength = _strength_of(solved, h_silverman)
         strength_payload = {"ratio": strength.ratio, "label": strength.label}
     except SolverError:
         strength_payload = None

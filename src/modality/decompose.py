@@ -70,17 +70,18 @@ def detect_components(x) -> Decomposition:
     a standard deviation of zero.
     """
     x = as_sample(x, min_size=2)
-    return _components_of_curve(x, _kde_at(x, silverman_bandwidth(x)))
+    curve = _kde_at(x, silverman_bandwidth(x))
+    return _components_of_curve(x, curve, _modes_of_curve(curve))
 
 
-def _components_of_curve(x: np.ndarray, curve) -> Decomposition:
-    """:func:`detect_components` of a sorted sample, split on its curve at h0."""
-    modes, _, _ = _modes_of_curve(curve)
-    if modes.count < 2:
+def _components_of_curve(x: np.ndarray, curve, mode_runs) -> Decomposition:
+    """:func:`detect_components` of a sorted sample, split on its curve at h0
+    with that curve's ``_modes_of_curve``."""
+    if mode_runs[0].count < 2:
         raise NotBimodalError(
             "decomposition: sample is unimodal at the rule-of-thumb bandwidth"
         )
-    trough = _trough_of_curve(curve)
+    trough = _trough_of_curve(curve, mode_runs)
     left = x[x <= trough.location]
     right = x[x > trough.location]
     if left.size == 0 or right.size == 0:

@@ -147,8 +147,9 @@ def find_modes(x, h) -> ModeSet:
     return modes
 
 
-def _trough_of_curve(curve: DensityCurve) -> Trough:
-    modes, starts, ends = _modes_of_curve(curve)
+def _trough_of_curve(curve: DensityCurve, mode_runs) -> Trough:
+    """Trough of ``curve`` given its ``_modes_of_curve(curve)``."""
+    modes, starts, ends = mode_runs
     if modes.count < 2:
         raise NotBimodalError(
             f"trough: need at least 2 modes at this bandwidth, found {modes.count}"
@@ -171,4 +172,5 @@ def _trough_of_curve(curve: DensityCurve) -> Trough:
 
 def find_trough(x, h) -> Trough:
     """Locate the valley between the two tallest modes of the KDE at ``h``."""
-    return _trough_of_curve(_kde_at(as_sample(x), h))
+    curve = _kde_at(as_sample(x), h)
+    return _trough_of_curve(curve, _modes_of_curve(curve))

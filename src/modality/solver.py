@@ -84,11 +84,15 @@ class CritBandResult:
 
 
 class _ModeCounter:
-    """Counts KDE modes at a bandwidth, evaluating each bandwidth once."""
+    """Counts KDE modes at a bandwidth, evaluating each bandwidth once.
 
-    def __init__(self, x: np.ndarray):
+    ``counts`` seeds the memo with counts the caller already took on
+    ``x``; they count as evaluations of the solve.
+    """
+
+    def __init__(self, x: np.ndarray, counts: dict[float, int] | None = None):
         self.x = x
-        self._counts = {}
+        self._counts = dict(counts or {})
 
     @property
     def evals(self) -> int:
@@ -168,8 +172,15 @@ def critical_bandwidth(x, k: int = 2, opts: SolverOptions | None = None) -> Crit
     just below. ``k=1`` has no attainable target (every density has at
     least one mode) and reports ``success=False``.
     """
+    return _solve(_validate_inputs(x, k), k, opts)
+
+
+def _solve(x: np.ndarray, k: int, opts: SolverOptions | None = None,
+           counts: dict[float, int] | None = None) -> CritBandResult:
+    """:func:`critical_bandwidth` of a validated sample; ``counts`` holds mode
+    counts the caller already took on ``x``, keyed by bandwidth."""
     opts = opts or SolverOptions()
-    counter = _ModeCounter(_validate_inputs(x, k))
+    counter = _ModeCounter(x, counts)
     max_modes = k - 1
     h0 = silverman_bandwidth(counter.x)
     h_lo, h_hi, failed_at = _bracket(counter, h0, max_modes, opts)

@@ -62,7 +62,8 @@ def test_analyze_json_schema(wellsep_csv, capsys):
     assert report["decomposition"]["component1"]["mean"] == pytest.approx(-2.0, abs=0.1)
 
 
-def test_analyze_evaluates_each_bandwidth_once(wellsep_csv, capsys, monkeypatch):
+def _record_bandwidths(monkeypatch) -> list:
+    """Record the bandwidth of every KDE evaluation."""
     import modality.kde as kde_mod
 
     seen = []
@@ -73,13 +74,28 @@ def test_analyze_evaluates_each_bandwidth_once(wellsep_csv, capsys, monkeypatch)
         return engine(x, grid, h)
 
     monkeypatch.setattr(kde_mod, "kde_fft", recording)
+    return seen
+
+
+def test_analyze_evaluates_each_bandwidth_once(wellsep_csv, capsys, monkeypatch):
+    seen = _record_bandwidths(monkeypatch)
     assert main(["analyze", str(wellsep_csv), "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    # one k = 2 solve, reused for the strength, then one curve at h0 for the
-    # modes and the decomposition; the solve itself starts at h0
-    assert len(seen) == report["iterations"] + 1
-    assert len(set(seen[:-1])) == report["iterations"]
-    assert seen[-1] == seen[0] == report["h_silverman"]
+    # one curve at h0 for the modes and the decomposition, which is also the
+    # first mode count of the one k = 2 solve, reused for the strength
+    assert len(seen) == report["iterations"]
+    assert len(set(seen)) == report["iterations"]
+    assert seen[0] == report["h_silverman"]
+
+
+def test_analyze_k3_shares_the_curve_at_h0(wellsep_csv, capsys, monkeypatch):
+    seen = _record_bandwidths(monkeypatch)
+    assert main(["analyze", str(wellsep_csv), "--format", "json", "--k", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    # the k = 3 solve and the k = 2 solve for the strength both start at h0
+    # and take its mode count from the report's curve
+    assert seen.count(report["h_silverman"]) == 1
+    assert len(set(seen)) == len(seen) > report["iterations"]
 
 
 @pytest.mark.parametrize("flags", [

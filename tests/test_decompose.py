@@ -93,6 +93,7 @@ def test_classify_strength_cutoffs():
 
 def test_components_come_from_one_evaluation(well_separated, monkeypatch):
     import modality.kde as kde_mod
+    import modality.modes as modes_mod
 
     h = silverman_bandwidth(well_separated)
     assert find_modes(well_separated, h).count >= 2
@@ -104,8 +105,17 @@ def test_components_come_from_one_evaluation(well_separated, monkeypatch):
         seen.append(h)
         return engine(x, grid, h)
 
+    scans = []
+    mode_runs = modes_mod._mode_runs
+
+    def counting(density):
+        scans.append(density.size)
+        return mode_runs(density)
+
     monkeypatch.setattr(kde_mod, "kde_fft", recording)
+    monkeypatch.setattr(modes_mod, "_mode_runs", counting)
     decomp = detect_components(well_separated)
     assert seen == [h]
+    assert len(scans) == 1  # one mode scan serves the count check and the trough
     assert decomp.separation_point == trough.location
     assert decomp.dip_ratio == trough.ratio

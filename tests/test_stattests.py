@@ -180,6 +180,20 @@ def test_dip_test_self_calibration_under_uniform_null():
     assert 0.05 <= rejections / trials <= 0.15
 
 
+def test_dip_test_pinned_answers(well_separated, normal_500):
+    # compared with ==: a change to the order or kind of the dip's float
+    # operations, or to the null draws, shows here
+    bimodal = dip_test(well_separated, resamples=199, seed=0)
+    assert (bimodal.statistic, bimodal.p_value) == (0.16901183659916008, 0.005)
+    unimodal = dip_test(normal_500, resamples=199, seed=0)
+    assert (unimodal.statistic, unimodal.p_value) == (0.013308645219373048, 0.815)
+
+
+def test_dip_statistic_ignores_input_order(well_separated):
+    shuffled = np.random.default_rng(3).permutation(well_separated)
+    assert dip_statistic(shuffled) == dip_statistic(well_separated)
+
+
 def test_dip_test_validation(normal_500):
     with pytest.raises(ValidationError):
         dip_test(normal_500, resamples=100)
