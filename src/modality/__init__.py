@@ -39,7 +39,6 @@ from .modes import ModeSet, Trough, count_modes, find_modes, find_trough
 from .rng import MixtureSpec, resample_with_replacement, sample_mixture
 from .solver import (
     CritBandResult,
-    SolverOptions,
     critical_bandwidth,
     critical_bandwidth_ci,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "Grid",
     "MixtureSpec",
     "ModeSet",
-    "SolverOptions",
     "StrengthReport",
     "Table",
     "TestResult",

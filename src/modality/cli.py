@@ -29,9 +29,9 @@ from .errors import (
     ValidationError,
 )
 from .io import read_data
-from .kde import _kde_at, silverman_bandwidth
+from .kde import _kde_at, _silverman_bandwidth
 from .modes import _modes_of_curve, find_modes
-from .solver import _solve, _validate_inputs, critical_bandwidth_ci
+from .solver import _bootstrap, _check_solvable, _solve
 from .stattests import dip_test, excess_mass, silverman_test
 
 __all__ = ["main"]
@@ -116,22 +116,19 @@ def _decomposition_payload(decomp) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    x, descriptor = _load(args)
-    h_silverman = silverman_bandwidth(x)
-    if args.ci:
-        result = critical_bandwidth_ci(x, k=args.k, resamples=args.resamples, seed=args.seed)
-    else:
-        x = _validate_inputs(x, args.k)
+    x, descriptor = _load(args)  # validated and sorted, of size >= 2
+    h_silverman = _silverman_bandwidth(x)
+    _check_solvable(x, args.k)
 
-    # read_data returns a validated, sorted sample, as _kde_at requires. The
-    # one curve at h0 gives the modes, the decomposition and the first mode
-    # count of the solves below, which start at h0
+    # the one curve at h0 gives the modes, the decomposition and the first
+    # mode count of the solves below, which start at h0
     curve = _kde_at(x, h_silverman)
     mode_runs = _modes_of_curve(curve)
     mode_set = mode_runs[0]
     counts = {h_silverman: int(mode_set.count)}
-    if not args.ci:
-        result = _solve(x, args.k, counts=counts)
+    result = _solve(x, args.k, counts=counts)
+    if args.ci:
+        result = _bootstrap(x, result, args.resamples, args.seed)
     if not result.success:
         print(f"error: critical bandwidth search failed (k={args.k}, "
               f"iterations={result.iterations})", file=sys.stderr)
@@ -154,19 +151,17 @@ def cmd_analyze(args) -> int:
         "k": result.k,
         "success": result.success,
         "iterations": result.iterations,
-        "ci": None,
-        "modes": _modes_payload(mode_set),
-        "decomposition": decomposition,
-        "strength": strength_payload,
-    }
-    if args.ci:
-        report["ci"] = {
+        "ci": None if result.ci_method is None else {
             "low": result.ci_low,
             "high": result.ci_high,
             "std_error": result.std_error,
             "method": result.ci_method,
             "failures": result.ci_failures,
-        }
+        },
+        "modes": _modes_payload(mode_set),
+        "decomposition": decomposition,
+        "strength": strength_payload,
+    }
     _emit(report, args.format)
     return EXIT_OK
 
@@ -211,7 +206,7 @@ def cmd_test(args) -> int:
 
 def cmd_modes(args) -> int:
     x, descriptor = _load(args)
-    h = args.bandwidth if args.bandwidth is not None else silverman_bandwidth(x)
+    h = args.bandwidth if args.bandwidth is not None else _silverman_bandwidth(x)
     mode_set = find_modes(x, h)
     report = {"input": descriptor, "bandwidth": h, "modes": _modes_payload(mode_set)}
     _emit(report, args.format)

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotBimodalError, SolverError
-from .kde import _kde_at, as_sample, silverman_bandwidth
+from .kde import _kde_at, _silverman_bandwidth, as_sample
 from .modes import _modes_of_curve, _trough_of_curve
-from .solver import CritBandResult, SolverOptions, critical_bandwidth
+from .solver import CritBandResult, _check_solvable, _solve
 
 __all__ = [
     "Component",
@@ -70,7 +70,7 @@ def detect_components(x) -> Decomposition:
     a standard deviation of zero.
     """
     x = as_sample(x, min_size=2)
-    curve = _kde_at(x, silverman_bandwidth(x))
+    curve = _kde_at(x, _silverman_bandwidth(x))
     return _components_of_curve(x, curve, _modes_of_curve(curve))
 
 
@@ -108,15 +108,15 @@ def classify_strength(ratio: float) -> str:
     return "strong"
 
 
-def bimodality_strength(x, opts: SolverOptions | None = None) -> StrengthReport:
+def bimodality_strength(x) -> StrengthReport:
     """How much extra smoothing merges the two modes, as a scale-free ratio.
 
     Ratio of the bimodal critical bandwidth to the rule-of-thumb
     bandwidth; both scale with the data, so the ratio is affine
     invariant. Labels follow the module cutoffs.
     """
-    x = as_sample(x, min_size=3)
-    return _strength_of(critical_bandwidth(x, k=2, opts=opts), silverman_bandwidth(x))
+    x = _check_solvable(as_sample(x, min_size=3), 2)
+    return _strength_of(_solve(x, 2), _silverman_bandwidth(x))
 
 
 def _strength_of(result: CritBandResult, h0: float) -> StrengthReport:

@@ -115,7 +115,11 @@ def silverman_bandwidth(x) -> float:
     collapses to zero on a sample that still has spread, the rule falls
     back to the standard deviation so the result stays positive.
     """
-    x = as_sample(x, min_size=2)
+    return _silverman_bandwidth(as_sample(x, min_size=2))
+
+
+def _silverman_bandwidth(x: np.ndarray) -> float:
+    """:func:`silverman_bandwidth` of a validated, sorted sample of size >= 2."""
     sd = float(np.std(x, ddof=1))
     q75, q25 = np.percentile(x, [75.0, 25.0])
     iqr = float(q75 - q25)
@@ -180,12 +184,18 @@ def kde_fft(x, grid: Grid, h) -> DensityCurve:
     support so the circular convolution cannot wrap, multiplies the
     transforms, and truncates back to the grid. Tiny negative roundoff
     lobes are clamped to zero.
+
+    The sample need not be sorted: binning only needs every observation
+    on the grid, and that span check also rejects NaN and infinity.
     """
-    x = as_sample(x)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0:
+        raise ValidationError(f"sample: expected non-empty 1-dimensional data, got shape {x.shape}")
     h = _check_bandwidth(h)
-    if x[0] < grid.start or x[-1] > grid.stop:
+    lo, hi = x.min(), x.max()
+    if not (grid.start <= lo and hi <= grid.stop):
         raise GridSpanError(
-            f"grid: data range [{x[0]:g}, {x[-1]:g}] exceeds grid span "
+            f"grid: data range [{lo:g}, {hi:g}] exceeds grid span "
             f"[{grid.start:g}, {grid.stop:g}]"
         )
     counts = _linear_bin(x, grid)

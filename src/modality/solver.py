@@ -7,10 +7,12 @@ mean heavy smoothing is needed to merge the k-th mode away, which is the
 signature of strong multimodal structure; ``k=2`` probes bimodality.
 
 The search brackets the discrete mode-count transition around the
-rule-of-thumb bandwidth and bisects it, then verifies the count on both
-sides of the answer. Each mode count is one binned-FFT KDE (``kde_fft``)
-on the sample's default grid, memoized on ``h``; ``iterations`` counts
-distinct bandwidths.
+rule-of-thumb bandwidth in steps of ``BRACKET_GROWTH`` and bisects it to
+``REL_TOL``, then verifies the count on both sides of the answer. Each
+mode count is one binned-FFT KDE (``kde_fft``) on the sample's default
+grid, memoized on ``h``; ``iterations`` counts distinct bandwidths. The
+public functions validate and sort the sample once; the layers below
+take it as given.
 """
 
 from __future__ import annotations
@@ -21,17 +23,25 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CIUnreliableError, ValidationError
-from .kde import _kde_at, as_sample, silverman_bandwidth
+from .kde import _kde_at, _silverman_bandwidth, as_sample
 from .modes import count_modes
 from .rng import derive_seed, resample_with_replacement
 
 __all__ = [
-    "SolverOptions",
     "CritBandResult",
     "critical_bandwidth",
     "critical_bandwidth_ci",
     "DEFAULT_CI_RESAMPLES",
+    "REL_TOL",
+    "MAX_ITER",
+    "BRACKET_GROWTH",
 ]
+
+# Bisection stops once (h_hi - h_lo) / h_hi < REL_TOL, or unconverged after
+# MAX_ITER distinct evaluations; the bracket steps by a factor BRACKET_GROWTH.
+REL_TOL = 1e-4
+MAX_ITER = 200
+BRACKET_GROWTH = 2.0
 
 # Shrinking below this fraction of the starting bandwidth without finding
 # the transition means the target mode count never appears.
@@ -43,23 +53,6 @@ _BRACKET_CAP_RANGES = 2.0
 DEFAULT_CI_RESAMPLES = 999
 
 _LARGE_SAMPLE = 5000
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Tuning knobs for the bandwidth search."""
-
-    rel_tol: float = 1e-4
-    max_iter: int = 200
-    bracket_growth: float = 2.0
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol < 0.1:
-            raise ValidationError(f"rel_tol: must be in (0, 0.1), got {self.rel_tol}")
-        if self.max_iter < 10:
-            raise ValidationError(f"max_iter: must be >= 10, got {self.max_iter}")
-        if not self.bracket_growth > 1.0:
-            raise ValidationError(f"bracket_growth: must be > 1, got {self.bracket_growth}")
 
 
 @dataclass(frozen=True)
@@ -104,8 +97,10 @@ class _ModeCounter:
         return self._counts[h]
 
 
-def _validate_inputs(x, k: int) -> np.ndarray:
-    x = as_sample(x, min_size=3)
+def _check_solvable(x: np.ndarray, k: int) -> np.ndarray:
+    """Check ``k`` and the size and scale of a validated, sorted sample."""
+    if x.size < 3:
+        raise ValidationError(f"sample: need at least 3 observations, got {x.size}")
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise ValidationError(f"k: must be an integer >= 1, got {k!r}")
     if x[0] == x[-1]:
@@ -113,7 +108,7 @@ def _validate_inputs(x, k: int) -> np.ndarray:
     return x
 
 
-def _bracket(counter: _ModeCounter, h0: float, max_modes: int, opts: SolverOptions):
+def _bracket(counter: _ModeCounter, h0: float, max_modes: int):
     """Find [h_lo, h_hi] with count(h_lo) > max_modes >= count(h_hi).
 
     Returns (h_lo, h_hi, failed_at) where ``failed_at`` is None on
@@ -124,31 +119,30 @@ def _bracket(counter: _ModeCounter, h0: float, max_modes: int, opts: SolverOptio
     x = counter.x
     if counter(h0) <= max_modes:
         h_hi = h0
-        h_lo = h0 / opts.bracket_growth
+        h_lo = h0 / BRACKET_GROWTH
         while counter(h_lo) <= max_modes:
             h_hi = h_lo
-            h_lo /= opts.bracket_growth
+            h_lo /= BRACKET_GROWTH
             if h_lo < _BRACKET_FLOOR_RATIO * h0:
                 return h_lo, h_hi, "floor"
         return h_lo, h_hi, None
     h_lo = h0
     cap = _BRACKET_CAP_RANGES * (x[-1] - x[0])
-    h_hi = min(h0 * opts.bracket_growth, cap)
+    h_hi = min(h0 * BRACKET_GROWTH, cap)
     while counter(h_hi) > max_modes:
         if h_hi >= cap:
             return h_lo, h_hi, "cap"
         h_lo = h_hi
-        h_hi = min(h_hi * opts.bracket_growth, cap)
+        h_hi = min(h_hi * BRACKET_GROWTH, cap)
     return h_lo, h_hi, None
 
 
-def _bisect(counter: _ModeCounter, h_lo: float, h_hi: float, max_modes: int,
-            opts: SolverOptions) -> tuple[float, bool]:
-    """Shrink the bracket until (h_hi - h_lo) / h_hi < rel_tol; give up after
-    ``max_iter`` evaluations or once it is two adjacent floats."""
-    while (h_hi - h_lo) / h_hi >= opts.rel_tol:
+def _bisect(counter: _ModeCounter, h_lo: float, h_hi: float, max_modes: int) -> tuple[float, bool]:
+    """Shrink the bracket until (h_hi - h_lo) / h_hi < REL_TOL; give up after
+    ``MAX_ITER`` evaluations or once it is two adjacent floats."""
+    while (h_hi - h_lo) / h_hi >= REL_TOL:
         mid = 0.5 * (h_lo + h_hi)
-        if counter.evals >= opts.max_iter or not h_lo < mid < h_hi:
+        if counter.evals >= MAX_ITER or not h_lo < mid < h_hi:
             return h_hi, False
         if counter(mid) <= max_modes:
             h_hi = mid
@@ -157,13 +151,12 @@ def _bisect(counter: _ModeCounter, h_lo: float, h_hi: float, max_modes: int,
     return h_hi, True
 
 
-def _verify_transition(counter: _ModeCounter, h: float, max_modes: int,
-                       opts: SolverOptions) -> bool:
-    below = h * (1.0 - 10.0 * opts.rel_tol)
+def _verify_transition(counter: _ModeCounter, h: float, max_modes: int) -> bool:
+    below = h * (1.0 - 10.0 * REL_TOL)
     return counter(h) <= max_modes and counter(below) > max_modes
 
 
-def critical_bandwidth(x, k: int = 2, opts: SolverOptions | None = None) -> CritBandResult:
+def critical_bandwidth(x, k: int = 2) -> CritBandResult:
     """Smallest bandwidth at which the KDE of ``x`` has fewer than ``k`` modes.
 
     The returned ``h_crit`` is the upper end of the final bracket, so the
@@ -172,40 +165,38 @@ def critical_bandwidth(x, k: int = 2, opts: SolverOptions | None = None) -> Crit
     just below. ``k=1`` has no attainable target (every density has at
     least one mode) and reports ``success=False``.
     """
-    return _solve(_validate_inputs(x, k), k, opts)
+    return _solve(_check_solvable(as_sample(x, min_size=3), k), k)
 
 
-def _solve(x: np.ndarray, k: int, opts: SolverOptions | None = None,
-           counts: dict[float, int] | None = None) -> CritBandResult:
-    """:func:`critical_bandwidth` of a validated sample; ``counts`` holds mode
-    counts the caller already took on ``x``, keyed by bandwidth."""
-    opts = opts or SolverOptions()
+def _solve(x: np.ndarray, k: int, counts: dict[float, int] | None = None) -> CritBandResult:
+    """:func:`critical_bandwidth` of a validated, sorted sample; ``counts``
+    holds mode counts the caller already took on ``x``, keyed by bandwidth."""
     counter = _ModeCounter(x, counts)
     max_modes = k - 1
-    h0 = silverman_bandwidth(counter.x)
-    h_lo, h_hi, failed_at = _bracket(counter, h0, max_modes, opts)
+    h0 = _silverman_bandwidth(x)
+    h_lo, h_hi, failed_at = _bracket(counter, h0, max_modes)
     if failed_at == "floor":
         # target count never exceeded: the infimum lies below the floor
         return CritBandResult(h_crit=h_lo, success=False, k=k, iterations=counter.evals)
     if failed_at == "cap":
         return CritBandResult(h_crit=h_hi, success=False, k=k, iterations=counter.evals)
-    h_crit, converged = _bisect(counter, h_lo, h_hi, max_modes, opts)
-    success = converged and _verify_transition(counter, h_crit, max_modes, opts)
+    h_crit, converged = _bisect(counter, h_lo, h_hi, max_modes)
+    success = converged and _verify_transition(counter, h_crit, max_modes)
     return CritBandResult(h_crit=h_crit, success=success, k=k, iterations=counter.evals)
 
 
-def critical_bandwidth_ci(x, k: int = 2, resamples: int | None = None, seed: int = 0,
-                          opts: SolverOptions | None = None) -> CritBandResult:
+def critical_bandwidth_ci(x, k: int = 2, resamples: int | None = None,
+                          seed: int = 0) -> CritBandResult:
     """Point estimate plus a percentile bootstrap interval for ``h_crit``.
 
     Each replicate resamples the data with replacement (sub-seeded from
     ``(seed, replicate index)``) and re-runs the search. Replicates whose
-    solve does not verify are excluded and counted in ``ci_failures``;
-    more than half failing raises :class:`CIUnreliableError`. The 95%
-    interval is widened, if needed, to contain the point estimate.
+    solve does not verify, or that draw one value only, are excluded and
+    counted in ``ci_failures``; more than half failing raises
+    :class:`CIUnreliableError`. The 95% interval is widened, if needed, to
+    contain the point estimate.
     """
-    opts = opts or SolverOptions()
-    x = _validate_inputs(x, k)
+    x = _check_solvable(as_sample(x, min_size=3), k)
     if resamples is None:
         resamples = DEFAULT_CI_RESAMPLES
         if x.size > _LARGE_SAMPLE:
@@ -214,16 +205,21 @@ def critical_bandwidth_ci(x, k: int = 2, resamples: int | None = None, seed: int
                 f"n={x.size} will be slow; pass resamples explicitly to silence",
                 stacklevel=2,
             )
+    return _bootstrap(x, _solve(x, k), resamples, seed)
+
+
+def _bootstrap(x: np.ndarray, point: CritBandResult, resamples: int, seed: int) -> CritBandResult:
+    """``point``, the solve on the validated sample ``x``, with the interval
+    of :func:`critical_bandwidth_ci` from ``resamples`` replicates."""
     if resamples < 99:
         raise ValidationError(f"resamples: must be >= 99, got {resamples}")
-
-    point = critical_bandwidth(x, k, opts)
     values = []
     failures = 0
     for i in range(resamples):
         y = resample_with_replacement(x, derive_seed(seed, "ci", i))
-        r = critical_bandwidth(y, k, opts)
-        if r.success:
+        # a replicate that drew a single value has no scale to solve on
+        r = _solve(y, point.k) if y[0] != y[-1] else None
+        if r is not None and r.success:
             values.append(r.h_crit)
         else:
             failures += 1

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TestInconclusiveError, ValidationError
-from .kde import _kde_at, as_sample, silverman_bandwidth
+from .kde import _kde_at, _silverman_bandwidth, as_sample
 from .modes import count_modes
 from .rng import random_open01, standard_normals, substream
-from .solver import SolverOptions, critical_bandwidth
+from .solver import _check_solvable, _solve
 
 __all__ = [
     "TestResult",
@@ -69,8 +69,7 @@ class ExcessMassCurve:
     delta: float
 
 
-def silverman_test(x, mod0: int = 1, resamples: int = 999, seed: int = 0,
-                   opts: SolverOptions | None = None) -> TestResult:
+def silverman_test(x, mod0: int = 1, resamples: int = 999, seed: int = 0) -> TestResult:
     """Smoothed-bootstrap test of "at most ``mod0`` modes".
 
     The statistic is the critical bandwidth at which the data collapse to
@@ -87,9 +86,8 @@ def silverman_test(x, mod0: int = 1, resamples: int = 999, seed: int = 0,
         raise ValidationError(f"mod0: must be an integer >= 1, got {mod0!r}")
     if resamples < 99:
         raise ValidationError(f"resamples: must be >= 99, got {resamples}")
-    opts = opts or SolverOptions()
 
-    solved = critical_bandwidth(x, k=mod0 + 1, opts=opts)
+    solved = _solve(_check_solvable(x, mod0 + 1), mod0 + 1)
     if not solved.success:
         raise TestInconclusiveError(
             f"critical bandwidth search did not verify a transition for mod0={mod0}"
@@ -293,7 +291,7 @@ def excess_mass(x, h: float | None = None) -> ExcessMassCurve:
     """Excess mass of the KDE over a uniform ladder of thresholds."""
     x = as_sample(x, min_size=5)
     if h is None:
-        h = silverman_bandwidth(x)
+        h = _silverman_bandwidth(x)
     curve = _kde_at(x, h)
     pts = curve.grid.points
     density = curve.density

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+import modality.kde as kde_mod
 from modality import MixtureSpec, sample_mixture
 
 WELL_SEPARATED = MixtureSpec(((0.5, -2.0, 0.3), (0.5, 2.0, 0.3)), 400)
@@ -38,3 +41,37 @@ def trimodal():
 def normal_500():
     rng = np.random.default_rng(11)
     return np.sort(rng.normal(0.0, 1.0, 500))
+
+
+@pytest.fixture
+def kde_bandwidths(monkeypatch):
+    """The bandwidth of every KDE evaluation made while the test runs."""
+    seen = []
+    engine = kde_mod.kde_fft
+
+    def recording(x, grid, h):
+        seen.append(h)
+        return engine(x, grid, h)
+
+    monkeypatch.setattr(kde_mod, "kde_fft", recording)
+    return seen
+
+
+@pytest.fixture
+def as_sample_calls(monkeypatch):
+    """The ``min_size`` of every ``as_sample`` call made while the test runs.
+
+    Modules import ``as_sample`` by name, so the counter is bound in every
+    ``modality.*`` namespace that holds it, not only in ``modality.kde``.
+    """
+    calls = []
+    validate = kde_mod.as_sample
+
+    def counting(values, min_size=1):
+        calls.append(min_size)
+        return validate(values, min_size)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "modality" and getattr(module, "as_sample", None) is validate:
+            monkeypatch.setattr(module, "as_sample", counting)
+    return calls

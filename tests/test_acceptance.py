@@ -12,7 +12,6 @@ import pytest
 
 from modality import (
     MixtureSpec,
-    SolverOptions,
     count_modes,
     critical_bandwidth,
     critical_bandwidth_ci,
@@ -25,6 +24,7 @@ from modality import (
     silverman_bandwidth,
     silverman_test,
 )
+from modality import solver
 from modality.benchmark import CASES, run_table2
 from modality.decompose import bimodality_strength
 
@@ -80,7 +80,6 @@ def test_table2_reproduction(table2_rows):
 
 def test_transition_property_suite():
     rng = np.random.default_rng(2024)
-    opts = SolverOptions()
     violations = 0
     verified = 0
     for _ in range(50):
@@ -94,13 +93,13 @@ def test_transition_property_suite():
         )
         x = sample_mixture(spec, int(rng.integers(0, 10_000)))
         k = int(rng.integers(2, 4))
-        result = critical_bandwidth(x, k=k, opts=opts)
+        result = critical_bandwidth(x, k=k)
         if not result.success:
             continue
         verified += 1
         if _count(x, result.h_crit) > k - 1:
             violations += 1
-        if _count(x, result.h_crit * (1.0 - 10.0 * opts.rel_tol)) <= k - 1:
+        if _count(x, result.h_crit * (1.0 - 10.0 * solver.REL_TOL)) <= k - 1:
             violations += 1
     _criterion(
         "transition-property",
@@ -113,11 +112,10 @@ def test_oracle_equivalence_h_scan():
     # 2000 log-spaced bandwidths over +/-5% (step 5e-5, below rel_tol);
     # the scan's smallest merged bandwidth is the reference answer
     spec = MixtureSpec(((0.5, -2.0, 0.5), (0.5, 2.0, 0.5)), 60)
-    opts = SolverOptions()
     worst = 0.0
     for seed in range(5):
         x = sample_mixture(spec, seed)
-        result = critical_bandwidth(x, k=2, opts=opts)
+        result = critical_bandwidth(x, k=2)
         ladder = np.geomspace(result.h_crit / 1.05, result.h_crit * 1.05, 2000)
         counts = [_count(x, h) for h in ladder]
         assert counts[0] > 1
@@ -125,8 +123,8 @@ def test_oracle_equivalence_h_scan():
         worst = max(worst, abs(result.h_crit - scan) / scan)
     _criterion(
         "oracle-equivalence-h-scan",
-        worst <= opts.rel_tol,
-        f"worst relative solver-vs-scan gap over 5 samples: {worst:.2e} (tol {opts.rel_tol:g})",
+        worst <= solver.REL_TOL,
+        f"worst relative solver-vs-scan gap over 5 samples: {worst:.2e} (tol {solver.REL_TOL:g})",
     )
 
 
@@ -246,7 +244,6 @@ def test_galaxy_vignette():
 
 
 def test_equivariance_suite():
-    opts = SolverOptions()
     x = sample_mixture(CASES[0].spec, 3)
     problems = []
 
@@ -256,13 +253,13 @@ def test_equivariance_suite():
     if abs(silverman_bandwidth(x + 100.0) - h) > 1e-9 * h:
         problems.append("silverman translation")
 
-    base = critical_bandwidth(x, k=2, opts=opts).h_crit
+    base = critical_bandwidth(x, k=2).h_crit
     for c in (0.1, 3.0, 100.0):
-        scaled = critical_bandwidth(c * x, k=2, opts=opts).h_crit
-        if abs(scaled - c * base) > 2.0 * opts.rel_tol * c * base:
+        scaled = critical_bandwidth(c * x, k=2).h_crit
+        if abs(scaled - c * base) > 2.0 * solver.REL_TOL * c * base:
             problems.append(f"h_crit scale c={c}")
-    shifted = critical_bandwidth(x + 57.0, k=2, opts=opts).h_crit
-    if abs(shifted - base) > 2.0 * opts.rel_tol * base:
+    shifted = critical_bandwidth(x + 57.0, k=2).h_crit
+    if abs(shifted - base) > 2.0 * solver.REL_TOL * base:
         problems.append("h_crit translation")
 
     d = dip_statistic(x)

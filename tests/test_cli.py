@@ -5,6 +5,7 @@ import pytest
 
 from modality import (
     bimodality_strength,
+    critical_bandwidth,
     detect_components,
     find_modes,
     read_data,
@@ -62,34 +63,26 @@ def test_analyze_json_schema(wellsep_csv, capsys):
     assert report["decomposition"]["component1"]["mean"] == pytest.approx(-2.0, abs=0.1)
 
 
-def _record_bandwidths(monkeypatch) -> list:
-    """Record the bandwidth of every KDE evaluation."""
-    import modality.kde as kde_mod
-
-    seen = []
-    engine = kde_mod.kde_fft
-
-    def recording(x, grid, h):
-        seen.append(h)
-        return engine(x, grid, h)
-
-    monkeypatch.setattr(kde_mod, "kde_fft", recording)
-    return seen
-
-
-def test_analyze_evaluates_each_bandwidth_once(wellsep_csv, capsys, monkeypatch):
-    seen = _record_bandwidths(monkeypatch)
-    assert main(["analyze", str(wellsep_csv), "--format", "json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    # one curve at h0 for the modes and the decomposition, which is also the
-    # first mode count of the one k = 2 solve, reused for the strength
-    assert len(seen) == report["iterations"]
-    assert len(set(seen)) == report["iterations"]
-    assert seen[0] == report["h_silverman"]
+def test_analyze_evaluates_each_bandwidth_once(wellsep_csv, capsys, kde_bandwidths):
+    iterations = critical_bandwidth(read_data(wellsep_csv), k=2).iterations
+    seen = kde_bandwidths
+    for flags in ([], ["--ci", "--resamples", "99"]):
+        seen.clear()
+        assert main(["analyze", str(wellsep_csv), "--format", "json", *flags]) == 0
+        report = json.loads(capsys.readouterr().out)
+        # one curve at h0 for the modes and the decomposition, which is also
+        # the first mode count of the one k = 2 solve, reused for the strength
+        # and as the interval's point estimate; the replicates come after it
+        assert report["iterations"] == iterations
+        point = seen[:iterations]
+        assert len(set(point)) == len(point) == iterations
+        assert seen[0] == report["h_silverman"]
+        assert seen.count(report["h_silverman"]) == 1
+        assert (len(seen) > iterations) == bool(flags)
 
 
-def test_analyze_k3_shares_the_curve_at_h0(wellsep_csv, capsys, monkeypatch):
-    seen = _record_bandwidths(monkeypatch)
+def test_analyze_k3_shares_the_curve_at_h0(wellsep_csv, capsys, kde_bandwidths):
+    seen = kde_bandwidths
     assert main(["analyze", str(wellsep_csv), "--format", "json", "--k", "3"]) == 0
     report = json.loads(capsys.readouterr().out)
     # the k = 3 solve and the k = 2 solve for the strength both start at h0
@@ -123,6 +116,14 @@ def test_analyze_ci_flag(wellsep_csv, capsys):
     ci = report["ci"]
     assert ci["method"] == "percentile"
     assert ci["low"] <= report["h_crit"] <= ci["high"]
+
+
+def test_analyze_ci_survives_constant_replicates(tmp_path, capsys):
+    path = tmp_path / "six.csv"
+    path.write_text("value\n0\n0\n0\n1\n1\n1\n")
+    assert main(["analyze", str(path), "--ci", "--resamples", "99", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert 0 < report["ci"]["failures"] < 50
 
 
 def test_analyze_missing_file(tmp_path, capsys):

@@ -91,20 +91,14 @@ def test_classify_strength_cutoffs():
     assert classify_strength(2.0) == "strong"
 
 
-def test_components_come_from_one_evaluation(well_separated, monkeypatch):
-    import modality.kde as kde_mod
+def test_components_come_from_one_evaluation(well_separated, monkeypatch, kde_bandwidths):
     import modality.modes as modes_mod
 
     h = silverman_bandwidth(well_separated)
     assert find_modes(well_separated, h).count >= 2
     trough = find_trough(well_separated, h)
-    seen = []
-    engine = kde_mod.kde_fft
-
-    def recording(x, grid, h):
-        seen.append(h)
-        return engine(x, grid, h)
-
+    seen = kde_bandwidths
+    seen.clear()
     scans = []
     mode_runs = modes_mod._mode_runs
 
@@ -112,7 +106,6 @@ def test_components_come_from_one_evaluation(well_separated, monkeypatch):
         scans.append(density.size)
         return mode_runs(density)
 
-    monkeypatch.setattr(kde_mod, "kde_fft", recording)
     monkeypatch.setattr(modes_mod, "_mode_runs", counting)
     decomp = detect_components(well_separated)
     assert seen == [h]

@@ -8,16 +8,21 @@ import pytest
 import modality
 from modality import (
     CIUnreliableError,
+    CritBandResult,
     MixtureSpec,
-    SolverOptions,
     ValidationError,
+    bimodality_strength,
     count_modes,
     critical_bandwidth,
     critical_bandwidth_ci,
     default_grid,
     kde_fft,
+    resample_with_replacement,
     sample_mixture,
+    silverman_test,
+    solver,
 )
+from modality.rng import derive_seed
 from tests.conftest import EXTREME_SEPARATION, TRIMODAL, UNEQUAL_WEIGHTS, WELL_SEPARATED
 
 
@@ -60,11 +65,10 @@ def test_solver_result_fields(well_separated):
 
 
 def test_transition_property(well_separated):
-    opts = SolverOptions()
-    r = critical_bandwidth(well_separated, k=2, opts=opts)
+    r = critical_bandwidth(well_separated, k=2)
     assert r.success
     assert _count(well_separated, r.h_crit) <= 1
-    assert _count(well_separated, r.h_crit * (1.0 - 10.0 * opts.rel_tol)) > 1
+    assert _count(well_separated, r.h_crit * (1.0 - 10.0 * solver.REL_TOL)) > 1
 
 
 def test_dense_scan_oracle_small_samples():
@@ -72,17 +76,16 @@ def test_dense_scan_oracle_small_samples():
     # estimate; the ladder spans +/-5% so its step (5e-5) resolves below
     # the solver tolerance, making the rel_tol agreement meaningful
     spec = MixtureSpec(((0.5, -2.0, 0.5), (0.5, 2.0, 0.5)), 60)
-    opts = SolverOptions()
     for seed in range(5):
         x = sample_mixture(spec, seed)
-        r = critical_bandwidth(x, k=2, opts=opts)
+        r = critical_bandwidth(x, k=2)
         ladder = np.geomspace(r.h_crit / 1.05, r.h_crit * 1.05, 2000)
         counts = [_count(x, h) for h in ladder]
         assert counts[0] > 1  # the transition lies inside the scanned window
         merged = ladder[[c <= 1 for c in counts]]
         assert merged.size > 0
         scan = merged[0]
-        assert abs(r.h_crit - scan) <= opts.rel_tol * scan
+        assert abs(r.h_crit - scan) <= solver.REL_TOL * scan
 
 
 def test_monotone_in_k(trimodal):
@@ -93,13 +96,12 @@ def test_monotone_in_k(trimodal):
 
 
 def test_scale_and_translation_equivariance(well_separated):
-    opts = SolverOptions()
-    base = critical_bandwidth(well_separated, k=2, opts=opts).h_crit
+    base = critical_bandwidth(well_separated, k=2).h_crit
     for c in (0.1, 3.0, 100.0):
-        scaled = critical_bandwidth(c * well_separated, k=2, opts=opts).h_crit
-        assert abs(scaled - c * base) <= 2.0 * opts.rel_tol * c * base
-    shifted = critical_bandwidth(well_separated + 57.0, k=2, opts=opts).h_crit
-    assert abs(shifted - base) <= 2.0 * opts.rel_tol * base
+        scaled = critical_bandwidth(c * well_separated, k=2).h_crit
+        assert abs(scaled - c * base) <= 2.0 * solver.REL_TOL * c * base
+    shifted = critical_bandwidth(well_separated + 57.0, k=2).h_crit
+    assert abs(shifted - base) <= 2.0 * solver.REL_TOL * base
 
 
 def test_determinism(well_separated):
@@ -122,19 +124,9 @@ def test_degenerate_inputs_rejected():
         critical_bandwidth(np.arange(10.0), k=0)
 
 
-def test_options_validation():
-    with pytest.raises(ValidationError):
-        SolverOptions(rel_tol=0.5)
-    with pytest.raises(ValidationError):
-        SolverOptions(max_iter=5)
-    with pytest.raises(ValidationError):
-        SolverOptions(bracket_growth=1.0)
-
-
 def test_ci_point_estimate_independent_of_ci_machinery(well_separated):
-    opts = SolverOptions()
-    plain = critical_bandwidth(well_separated, k=2, opts=opts)
-    with_ci = critical_bandwidth_ci(well_separated, k=2, resamples=99, seed=0, opts=opts)
+    plain = critical_bandwidth(well_separated, k=2)
+    with_ci = critical_bandwidth_ci(well_separated, k=2, resamples=99, seed=0)
     assert with_ci.h_crit == plain.h_crit
     assert with_ci.ci_method == "percentile"
     assert with_ci.ci_low <= with_ci.h_crit <= with_ci.ci_high
@@ -161,15 +153,26 @@ def test_ci_tiny_sample_keeps_invariants():
     assert r.ci_failures >= 0
 
 
+def test_ci_counts_constant_replicates_as_failures():
+    # about one replicate in 32 draws the same value six times
+    x = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+    constant = sum(
+        np.ptp(resample_with_replacement(x, derive_seed(0, "ci", i))) == 0.0 for i in range(99)
+    )
+    assert constant > 0
+    r = critical_bandwidth_ci(x, k=2, resamples=99, seed=0)
+    assert r.h_crit == critical_bandwidth(x, k=2).h_crit
+    assert constant <= r.ci_failures < 50
+    assert r.ci_low <= r.h_crit <= r.ci_high
+
+
 def test_ci_rejects_too_few_resamples(well_separated):
     with pytest.raises(ValidationError):
         critical_bandwidth_ci(well_separated, k=2, resamples=50, seed=0)
 
 
 def test_large_sample_default_resamples_warns(monkeypatch):
-    import modality.solver as solver_mod
-
-    monkeypatch.setattr(solver_mod, "DEFAULT_CI_RESAMPLES", 99)  # keep the run short
+    monkeypatch.setattr(solver, "DEFAULT_CI_RESAMPLES", 99)  # keep the run short
     x = sample_mixture(MixtureSpec(((0.5, -2.0, 0.3), (0.5, 2.0, 0.3)), 5001), 0)
     with pytest.warns(UserWarning, match="resamples"):
         critical_bandwidth_ci(x, k=2, seed=0)
@@ -177,7 +180,6 @@ def test_large_sample_default_resamples_warns(monkeypatch):
 
 def test_random_mixture_transitions():
     rng = np.random.default_rng(99)
-    opts = SolverOptions()
     verified = 0
     for _ in range(15):
         sep = rng.uniform(2.5, 6.0)
@@ -185,26 +187,17 @@ def test_random_mixture_transitions():
         n = int(rng.integers(50, 400))
         spec = MixtureSpec(((0.5, -sep / 2, sd), (0.5, sep / 2, sd)), n)
         x = sample_mixture(spec, int(rng.integers(0, 1000)))
-        r = critical_bandwidth(x, k=2, opts=opts)
+        r = critical_bandwidth(x, k=2)
         if not r.success:
             continue
         verified += 1
         assert _count(x, r.h_crit) <= 1
-        assert _count(x, r.h_crit * (1.0 - 10.0 * opts.rel_tol)) > 1
+        assert _count(x, r.h_crit * (1.0 - 10.0 * solver.REL_TOL)) > 1
     assert verified >= 12
 
 
-def test_solve_evaluates_each_bandwidth_once(monkeypatch):
-    import modality.kde as kde_mod
-
-    seen = []
-    engine = kde_mod.kde_fft
-
-    def recording(x, grid, h):
-        seen.append(h)
-        return engine(x, grid, h)
-
-    monkeypatch.setattr(kde_mod, "kde_fft", recording)
+def test_solve_evaluates_each_bandwidth_once(kde_bandwidths):
+    seen = kde_bandwidths
     for spec, k in ((WELL_SEPARATED, 2), (UNEQUAL_WEIGHTS, 2), (TRIMODAL, 3)):
         for seed in range(3):
             seen.clear()
@@ -214,12 +207,13 @@ def test_solve_evaluates_each_bandwidth_once(monkeypatch):
 
 
 @pytest.mark.parametrize("rel_tol", [1e-16, 1e-17])
-def test_tolerance_below_float_spacing_stops_unconverged(rel_tol):
+def test_tolerance_below_float_spacing_stops_unconverged(rel_tol, monkeypatch):
     # the bracket bottoms out at two adjacent floats before reaching rel_tol
+    monkeypatch.setattr(solver, "REL_TOL", rel_tol)
     x = sample_mixture(WELL_SEPARATED, 0)
-    r = critical_bandwidth(x, k=2, opts=SolverOptions(rel_tol=rel_tol))
+    r = critical_bandwidth(x, k=2)
     assert not r.success
-    assert r.iterations <= SolverOptions().max_iter
+    assert r.iterations <= solver.MAX_ITER
     assert _count(x, r.h_crit) <= 1
 
 
@@ -229,3 +223,21 @@ def test_import_does_not_load_scipy_optimize():
             "print('scipy.optimize' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_solver_pinned_answers(well_separated, trimodal):
+    # compared with ==: a change to the grids, the bracket or the order of
+    # the float operations in any solve, bootstrap or test shows here
+    r = critical_bandwidth(well_separated, k=2)
+    assert (r.h_crit, r.iterations) == (1.859712486892561, 17)
+    r = critical_bandwidth(trimodal, k=3)
+    assert (r.h_crit, r.iterations) == (1.3593049970178006, 16)
+    assert critical_bandwidth_ci(well_separated, resamples=99, seed=0) == CritBandResult(
+        h_crit=1.859712486892561, success=True, k=2, iterations=17,
+        ci_low=1.6581052603934863, ci_high=1.8682189985768805,
+        std_error=0.053965516056068814, ci_method="percentile", ci_failures=0,
+    )
+    t = silverman_test(well_separated, resamples=199, seed=0)
+    assert (t.statistic, t.p_value, t.resamples, t.method, t.h_crit) == (
+        1.859712486892561, 0.005, 199, "silverman", 1.859712486892561)
+    assert bimodality_strength(well_separated).ratio == 2.8864746093750004

@@ -1,0 +1,47 @@
+"""Each public call validates and sorts its sample once, where it enters.
+
+Every layer below a public function takes the sorted sample it is given,
+so a solve of 17 KDE evaluations, a bootstrap of 99 replicates and an
+``analyze`` run (whose file reader validates) all sort the data once.
+"""
+
+import numpy as np
+import pytest
+
+from modality import (
+    bimodality_strength,
+    critical_bandwidth,
+    critical_bandwidth_ci,
+    detect_components,
+    dip_test,
+    excess_mass,
+    find_modes,
+    find_trough,
+    silverman_test,
+)
+from modality.cli import main
+
+CALLS = {
+    "critical_bandwidth": lambda x, path: critical_bandwidth(x, k=2),
+    "bimodality_strength": lambda x, path: bimodality_strength(x),
+    "silverman_test": lambda x, path: silverman_test(x, resamples=199, seed=0),
+    "critical_bandwidth_ci": lambda x, path: critical_bandwidth_ci(x, resamples=99, seed=0),
+    "find_modes": lambda x, path: find_modes(x, 0.5),
+    "find_trough": lambda x, path: find_trough(x, 0.5),
+    "detect_components": lambda x, path: detect_components(x),
+    "excess_mass": lambda x, path: excess_mass(x),
+    "dip_test": lambda x, path: dip_test(x, resamples=199, seed=0),
+    "analyze": lambda x, path: main(["analyze", str(path), "--format", "json"]),
+    "analyze_ci": lambda x, path: main(["analyze", str(path), "--format", "json",
+                                        "--ci", "--resamples", "99"]),
+}
+
+
+@pytest.mark.parametrize("name", list(CALLS))
+def test_public_call_validates_once(name, well_separated, tmp_path, capsys, as_sample_calls):
+    x = np.random.default_rng(0).permutation(well_separated)
+    path = tmp_path / "sample.csv"
+    path.write_text("value\n" + "\n".join(repr(float(v)) for v in x) + "\n")
+    CALLS[name](x, path)
+    capsys.readouterr()
+    assert len(as_sample_calls) == 1
