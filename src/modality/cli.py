@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import benchmark as bench
-from .decompose import _components_of_curve, _strength_of, detect_components
+from .decompose import _components_of_curve, _detect_components, _strength_of
 from .errors import (
     ModalityError,
     NotBimodalError,
@@ -30,9 +30,9 @@ from .errors import (
 )
 from .io import read_data
 from .kde import _kde_at, _silverman_bandwidth
-from .modes import _modes_of_curve, find_modes
+from .modes import _modes_of_curve
 from .solver import _bootstrap, _check_solvable, _solve
-from .stattests import dip_test, excess_mass, silverman_test
+from .stattests import _dip_test, _excess_mass, _silverman_test
 
 __all__ = ["main"]
 
@@ -169,13 +169,13 @@ def cmd_analyze(args) -> int:
 def cmd_test(args) -> int:
     x, descriptor = _load(args)
     if args.method == "silverman":
-        result = silverman_test(x, mod0=args.mod0, resamples=args.resamples, seed=args.seed)
+        result = _silverman_test(x, args.mod0, args.resamples, args.seed)
         null_desc = f"at most {args.mod0} mode(s)"
     elif args.method == "dip":
-        result = dip_test(x, resamples=max(args.resamples, 199), seed=args.seed)
+        result = _dip_test(x, max(args.resamples, 199), args.seed)
         null_desc = "unimodal"
     else:
-        curve = excess_mass(x)
+        curve = _excess_mass(x)
         report = {
             "input": descriptor,
             "method": "excess_mass",
@@ -207,7 +207,7 @@ def cmd_test(args) -> int:
 def cmd_modes(args) -> int:
     x, descriptor = _load(args)
     h = args.bandwidth if args.bandwidth is not None else _silverman_bandwidth(x)
-    mode_set = find_modes(x, h)
+    mode_set = _modes_of_curve(_kde_at(x, h))[0]
     report = {"input": descriptor, "bandwidth": h, "modes": _modes_payload(mode_set)}
     _emit(report, args.format)
     return EXIT_OK
@@ -215,7 +215,7 @@ def cmd_modes(args) -> int:
 
 def cmd_decompose(args) -> int:
     x, descriptor = _load(args)
-    decomp = detect_components(x)
+    decomp = _detect_components(x)
     report = {"input": descriptor, "decomposition": _decomposition_payload(decomp)}
     _emit(report, args.format)
     return EXIT_OK

@@ -79,23 +79,27 @@ def _value_runs(density: np.ndarray):
     return starts, ends, density[starts]
 
 
-def _merge_shallow_pairs(values: np.ndarray, keep: list[int], peak: float) -> list[int]:
+def _merge_shallow_pairs(density: np.ndarray, starts, ends, peak: float) -> list[int]:
     """Agglomerate candidates whose shared saddle is too shallow.
 
-    For each adjacent candidate pair, the saddle is the minimum run value
-    between them; the pair has effectively merged when the shorter peak
-    rises above that saddle by less than PROMINENCE_DEPTH_RATIO of its
-    own height, or less than PROMINENCE_GLOBAL_RATIO of the global peak.
-    The shallowest qualifying pair merges first (the shorter member is
-    absorbed; on exact ties the right one), and saddles are recomputed
-    until every remaining pair stands on its own.
+    Candidate ``i`` is the maximum run ``density[starts[i] : ends[i] + 1]``.
+    For each adjacent candidate pair, the saddle is the minimum density
+    between their runs; the pair has effectively merged when the shorter
+    peak rises above that saddle by less than PROMINENCE_DEPTH_RATIO of
+    its own height, or less than PROMINENCE_GLOBAL_RATIO of the global
+    peak. The shallowest qualifying pair merges first (the shorter member
+    is absorbed; on exact ties the right one), and saddles are recomputed
+    until every remaining pair stands on its own. Returns the indices of
+    the surviving candidates.
     """
+    keep = list(range(len(starts)))
     while len(keep) > 1:
         depths = []
-        for i in range(len(keep) - 1):
-            saddle = values[keep[i] + 1 : keep[i + 1]].min()
-            shorter = min(values[keep[i]], values[keep[i + 1]])
-            depths.append((values[keep[i]], values[keep[i + 1]], shorter - saddle, shorter))
+        for a, b in zip(keep, keep[1:]):
+            saddle = density[ends[a] + 1 : starts[b]].min()
+            left_h, right_h = density[starts[a]], density[starts[b]]
+            shorter = min(left_h, right_h)
+            depths.append((left_h, right_h, shorter - saddle, shorter))
         qualifying = [
             (depth / shorter, i)
             for i, (_, _, depth, shorter) in enumerate(depths)
@@ -113,19 +117,31 @@ def _mode_runs(density: np.ndarray):
     """Interior local-maximum runs surviving the prominence cleanup.
 
     Returns (start, end, height) arrays, one entry per mode; a plateau
-    contributes its full index range.
+    contributes its full index range. A maximum run is entered by a
+    rising step and left by a falling one, so the first and last runs of
+    the curve are never candidates.
     """
-    starts, ends, values = _value_runs(density)
-    if values.size < 3:
-        return starts[:0], ends[:0], values[:0]
-    interior = slice(1, values.size - 1)
-    is_max = (values[interior] > values[:-2]) & (values[interior] > values[2:])
-    keep = np.flatnonzero(is_max) + 1
+    diffs = density[1:] - density[:-1]  # zero exactly where neighbours are equal
+    rising = diffs > 0.0
+    starts = np.flatnonzero(rising[:-1] & ~rising[1:]) + 1  # entered by a rise, not left by one
+    ends = starts
+    if (diffs[starts] == 0.0).any():
+        # some of them are plateaus: each ends at the next nonzero step,
+        # and is a maximum only if that step falls
+        steps = np.flatnonzero(diffs)
+        after = np.searchsorted(steps, starts)
+        closed = after < steps.size  # a plateau reaching the last point is no maximum
+        starts, ends = starts[closed], steps[after[closed]]
+        falls = diffs[ends] < 0.0
+        starts, ends = starts[falls], ends[falls]
+    heights = density[starts]
     peak = density.max()
-    keep = keep[values[keep] >= PROMINENCE_RATIO * peak]
-    if keep.size > 1:
-        keep = np.asarray(_merge_shallow_pairs(values, list(keep), peak))
-    return starts[keep], ends[keep], values[keep]
+    prominent = heights >= PROMINENCE_RATIO * peak
+    starts, ends, heights = starts[prominent], ends[prominent], heights[prominent]
+    if starts.size > 1:
+        keep = _merge_shallow_pairs(density, starts, ends, peak)
+        starts, ends, heights = starts[keep], ends[keep], heights[keep]
+    return starts, ends, heights
 
 
 def count_modes(curve: DensityCurve) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TestInconclusiveError, ValidationError
-from .kde import _kde_at, _silverman_bandwidth, as_sample
+from .kde import _check_size, _kde_at, _silverman_bandwidth, as_sample
 from .modes import count_modes
 from .rng import random_open01, standard_normals, substream
 from .solver import _check_solvable, _solve
@@ -81,7 +81,12 @@ def silverman_test(x, mod0: int = 1, resamples: int = 999, seed: int = 0) -> Tes
     the bandwidth, exactly the event that its own critical bandwidth is
     at least the observed one.
     """
-    x = as_sample(x, min_size=10)
+    return _silverman_test(as_sample(x, min_size=10), mod0, resamples, seed)
+
+
+def _silverman_test(x: np.ndarray, mod0: int, resamples: int, seed: int) -> TestResult:
+    """:func:`silverman_test` of a validated, sorted sample."""
+    _check_size(x, 10)
     if not (isinstance(mod0, (int, np.integer)) and mod0 >= 1):
         raise ValidationError(f"mod0: must be an integer >= 1, got {mod0!r}")
     if resamples < 99:
@@ -243,7 +248,12 @@ def dip_test(x, resamples: int = 999, seed: int = 0) -> TestResult:
     unimodal null without lookup tables. The sample is validated once;
     each null replicate is already finite, so it is only sorted.
     """
-    x = as_sample(x, min_size=4)
+    return _dip_test(as_sample(x, min_size=4), resamples, seed)
+
+
+def _dip_test(x: np.ndarray, resamples: int, seed: int) -> TestResult:
+    """:func:`dip_test` of a validated, sorted sample."""
+    _check_size(x, 4)
     if resamples < 199:
         raise ValidationError(f"resamples: must be >= 199, got {resamples}")
     d = _dip_of_sorted(x)
@@ -289,7 +299,12 @@ def _interval_masses(pts: np.ndarray, density: np.ndarray, p: float) -> list[flo
 
 def excess_mass(x, h: float | None = None) -> ExcessMassCurve:
     """Excess mass of the KDE over a uniform ladder of thresholds."""
-    x = as_sample(x, min_size=5)
+    return _excess_mass(as_sample(x, min_size=5), h)
+
+
+def _excess_mass(x: np.ndarray, h: float | None = None) -> ExcessMassCurve:
+    """:func:`excess_mass` of a validated, sorted sample."""
+    _check_size(x, 5)
     if h is None:
         h = _silverman_bandwidth(x)
     curve = _kde_at(x, h)

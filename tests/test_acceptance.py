@@ -6,6 +6,7 @@ pieces run on fixed seeds, so results are reproducible bit for bit.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +26,12 @@ from modality import (
     silverman_test,
 )
 from modality import solver
-from modality.benchmark import CASES, run_table2
+from modality.benchmark import CASES, rows_to_csv, run_table2
 from modality.decompose import bimodality_strength
+
+# `modality benchmark --suite table2 --seeds 0..9 --out` as recorded; a change
+# that moves any answer regenerates it on purpose
+GOLDEN_TABLE2 = Path(__file__).parent / "data" / "table2_seeds0-9.csv"
 
 GALAXY = MixtureSpec(((0.45, 0.3, 0.12), (0.55, 0.8, 0.15)), 500)
 
@@ -76,6 +81,19 @@ def test_table2_reproduction(table2_rows):
         "3 boundary rows unstable as expected, mode counts match on all 12"
     )
     _criterion("table2-reproduction", not problems, detail)
+
+
+def test_table2_answers_match_golden_csv(table2_rows):
+    got = rows_to_csv([table2_rows[case.name] for case in CASES])
+    want = GOLDEN_TABLE2.read_bytes().decode("utf-8")
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    changed = [i + 1 for i, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b]
+    _criterion(
+        "table2-golden",
+        got == want,
+        f"{len(got_lines) - 1} lines byte-identical to {GOLDEN_TABLE2.name}" if got == want else
+        f"{len(got_lines)} vs {len(want_lines)} lines, first changed: {changed[:5]}",
+    )
 
 
 def test_transition_property_suite():

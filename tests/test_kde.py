@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from modality import (
     DegenerateSampleError,
@@ -13,7 +14,7 @@ from modality import (
     sample_mixture,
     silverman_bandwidth,
 )
-from modality.kde import GRID_MAX_POINTS, GRID_MIN_POINTS
+from modality.kde import GRID_MAX_POINTS, GRID_MIN_POINTS, _linear_bin
 
 
 def _hand_silverman(x):
@@ -170,3 +171,62 @@ def test_fft_matches_direct_at_former_switch(n):
     direct = kde_direct(x, grid, h)
     fft = kde_fft(x, grid, h)
     assert np.max(np.abs(fft.density - direct.density)) / direct.density.max() <= 1e-4
+
+
+def _sampled_kernel_kde(x, grid, h):
+    """Reference: convolution with the sampled kernel, truncated at 6h and
+    transformed by FFT, on the grid padded by that reach on both sides."""
+    counts = _linear_bin(np.asarray(x, dtype=float), grid)
+    half_width = int(np.ceil(6.0 * h / grid.spacing))
+    offsets = np.arange(-half_width, half_width + 1) * grid.spacing
+    kernel = np.exp(-0.5 * (offsets / h) ** 2) / (h * np.sqrt(2.0 * np.pi))
+    m = next_fast_len(grid.size + 2 * half_width)
+    conv = np.fft.irfft(np.fft.rfft(counts, m) * np.fft.rfft(kernel, m), m)
+    return conv[half_width : half_width + grid.size] / len(x)
+
+
+# r = h / spacing across both branches, with both sides of the switch at r = 3
+STEPS_PER_BANDWIDTH = [*np.geomspace(0.01, 200.0, 40), 2.999, 3.0, 3.001]
+
+
+@pytest.mark.parametrize("sample,h,tol", [
+    pytest.param("well_separated", 0.3, 1e-8, id="well_separated"),
+    # the reference drops the kernel's tail past 6h and the engine's one-sided
+    # pad wraps it: up to exp(-18) of each value's own peak at a point more
+    # than 6h from both values
+    pytest.param("two_values", 0.3, 2.0 * np.exp(-18.0), id="two_values"),
+])
+def test_kde_fft_matches_sampled_kernel_convolution(sample, h, tol, request):
+    if sample == "two_values":
+        x = np.array([0.0] * 5 + [1.0] * 7)
+    else:
+        x = request.getfixturevalue(sample)
+    worst = 0.0
+    for r in STEPS_PER_BANDWIDTH:
+        spacing = h / r
+        start = x[0] - 3.0 * h
+        grid = Grid(start, spacing, max(2, int(np.ceil((x[-1] + 3.0 * h - start) / spacing)) + 1))
+        reference = _sampled_kernel_kde(x, grid, h)
+        gap = np.max(np.abs(kde_fft(x, grid, h).density - reference)) / reference.max()
+        worst = max(worst, gap)
+    assert worst <= tol
+
+
+@pytest.mark.parametrize("r,transforms", [(3.5, 2), (40.0, 2), (2.5, 3)])
+def test_kde_fft_transform_count_and_length(r, transforms, monkeypatch):
+    # the closed form spares the kernel's transform; the pad is one-sided
+    x = np.array([0.0, 0.5, 2.0])
+    h = 0.2
+    grid = Grid(-1.0, h / r, int(np.ceil(4.0 * r / h)) + 1)
+    lengths = []
+
+    def counted(transform):
+        def call(a, n=None):
+            lengths.append(a.size if n is None else n)
+            return transform(a, n)
+        return call
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    kde_fft(x, grid, h)
+    assert lengths == [next_fast_len(grid.size + int(np.ceil(6.0 * r)))] * transforms

@@ -1,15 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modality import (
     DensityCurve,
     Grid,
     NotBimodalError,
     count_modes,
+    default_grid,
     find_modes,
     find_trough,
+    kde_fft,
     sample_mixture,
     silverman_bandwidth,
+)
+from modality.benchmark import CASES
+from modality.modes import (
+    PROMINENCE_DEPTH_RATIO,
+    PROMINENCE_GLOBAL_RATIO,
+    PROMINENCE_RATIO,
+    _mode_runs,
 )
 from tests.conftest import EXTREME_SEPARATION, UNEQUAL_WEIGHTS
 
@@ -147,3 +158,59 @@ def test_find_trough_lies_between_modes(trimodal):
 def test_find_trough_requires_two_modes(normal_500):
     with pytest.raises(NotBimodalError):
         find_trough(normal_500, silverman_bandwidth(normal_500))
+
+
+def _reference_mode_runs(density):
+    """Reference mode scan: compress the curve into runs of equal values,
+    take the runs above both neighbouring runs, then drop and merge them by
+    the same prominence rules."""
+    boundaries = np.flatnonzero(density[1:] != density[:-1]) + 1
+    starts = np.concatenate(([0], boundaries))
+    ends = np.concatenate((boundaries - 1, [density.size - 1]))
+    values = density[starts]
+    if values.size < 3:
+        return starts[:0], ends[:0], values[:0]
+    is_max = (values[1:-1] > values[:-2]) & (values[1:-1] > values[2:])
+    keep = np.flatnonzero(is_max) + 1
+    peak = density.max()
+    keep = list(keep[values[keep] >= PROMINENCE_RATIO * peak])
+    while len(keep) > 1:
+        depths = []
+        for i in range(len(keep) - 1):
+            saddle = values[keep[i] + 1 : keep[i + 1]].min()
+            shorter = min(values[keep[i]], values[keep[i + 1]])
+            depths.append((values[keep[i]], values[keep[i + 1]], shorter - saddle, shorter))
+        qualifying = [
+            (depth / shorter, i)
+            for i, (_, _, depth, shorter) in enumerate(depths)
+            if depth < PROMINENCE_DEPTH_RATIO * shorter or depth < PROMINENCE_GLOBAL_RATIO * peak
+        ]
+        if not qualifying:
+            break
+        _, i = min(qualifying)
+        keep.pop(i + 1 if depths[i][1] <= depths[i][0] else i)
+    keep = np.asarray(keep, dtype=np.intp)
+    return starts[keep], ends[keep], values[keep]
+
+
+def _assert_same_runs(density):
+    for got, want in zip(_mode_runs(density), _reference_mode_runs(density)):
+        np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(0, 3), min_size=2, max_size=80),
+    st.lists(st.integers(0, 1000), min_size=2, max_size=80),
+    # saddles within 1% of equal peaks: every pair merges, ties included
+    st.lists(st.integers(990, 1000), min_size=2, max_size=80),
+))
+def test_mode_scan_matches_run_compression_on_tied_values(values):
+    _assert_same_runs(np.asarray(values, dtype=float))
+
+
+def test_mode_scan_matches_run_compression_on_table2_curves():
+    for case in CASES:
+        x = sample_mixture(case.spec, 0)
+        for h in np.geomspace(0.02, 4.0, 40) * silverman_bandwidth(x):
+            _assert_same_runs(kde_fft(x, default_grid(x, h), h).density)

@@ -4,10 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from modality import dip_statistic
+from modality import count_modes, default_grid, dip_statistic, kde_fft
 
 # integer samples, n in [2, 60]: a narrow value range forces heavy ties
 tied_samples = st.integers(2, 60).flatmap(
@@ -35,3 +35,20 @@ def test_dip_invariant_under_positive_affine_maps(values, scale, shift):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert dip_statistic(scale * x + shift) == pytest.approx(dip_statistic(x), abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(-100.0, 100.0), st.floats(-100.0, 100.0),
+    st.integers(1, 30), st.integers(1, 30),
+    # log-uniform, so that kernels narrower than the grid spacing are drawn often
+    st.floats(-4.0, np.log10(3.0)).map(lambda e: 10.0**e),
+)
+def test_two_values_never_show_more_than_two_modes(a, b, count_a, count_b, h_per_gap):
+    """A kernel narrower than the grid spacing must not ring between the values."""
+    # a gap near the subnormal range makes h or the grid spacing round to 0,
+    # which the engine refuses with a typed error
+    assume(abs(b - a) > 1e-300)
+    x = np.sort(np.array([a] * count_a + [b] * count_b))
+    h = h_per_gap * abs(b - a)
+    assert count_modes(kde_fft(x, default_grid(x, h), h)) <= 2

@@ -1,8 +1,8 @@
 """Each public call validates and sorts its sample once, where it enters.
 
 Every layer below a public function takes the sorted sample it is given,
-so a solve of 17 KDE evaluations, a bootstrap of 99 replicates and an
-``analyze`` run (whose file reader validates) all sort the data once.
+so a solve of 17 KDE evaluations, a bootstrap of 99 replicates and every
+CLI command (whose file reader validates) all sort the data once.
 """
 
 import numpy as np
@@ -21,6 +21,11 @@ from modality import (
 )
 from modality.cli import main
 
+
+def _cli(*argv):
+    assert main(list(argv)) == 0
+
+
 CALLS = {
     "critical_bandwidth": lambda x, path: critical_bandwidth(x, k=2),
     "bimodality_strength": lambda x, path: bimodality_strength(x),
@@ -31,9 +36,15 @@ CALLS = {
     "detect_components": lambda x, path: detect_components(x),
     "excess_mass": lambda x, path: excess_mass(x),
     "dip_test": lambda x, path: dip_test(x, resamples=199, seed=0),
-    "analyze": lambda x, path: main(["analyze", str(path), "--format", "json"]),
-    "analyze_ci": lambda x, path: main(["analyze", str(path), "--format", "json",
-                                        "--ci", "--resamples", "99"]),
+    "analyze": lambda x, path: _cli("analyze", str(path), "--format", "json"),
+    "analyze_ci": lambda x, path: _cli("analyze", str(path), "--format", "json",
+                                       "--ci", "--resamples", "99"),
+    "test_silverman": lambda x, path: _cli("test", str(path), "--method", "silverman",
+                                           "--resamples", "99"),
+    "test_dip": lambda x, path: _cli("test", str(path), "--method", "dip", "--resamples", "199"),
+    "test_excess": lambda x, path: _cli("test", str(path), "--method", "excess"),
+    "modes": lambda x, path: _cli("modes", str(path)),
+    "decompose": lambda x, path: _cli("decompose", str(path)),
 }
 
 
