@@ -5,6 +5,8 @@ it linear-bins the sample onto the grid and convolves with the Gaussian
 kernel by FFT in O(n + g log g) (binned KDE, Silverman 1982, AS 176;
 Wand 1994). The kernel's transform is the Gaussian's closed form, so an
 evaluation costs two transforms, one of the bin counts and one back.
+Monte Carlo tests evaluate a block of replicates at once with the same
+arithmetic (``_kde_rows_at``), each row bit for bit its ``kde_fft``.
 ``kde_direct`` is the exact O(n*g) direct sum, kept as the oracle the
 engine is tested against.
 """
@@ -160,10 +162,21 @@ def default_grid(x, h) -> Grid:
 def _default_grid(x: np.ndarray, h) -> Grid:
     """:func:`default_grid` of a sample that is already validated and sorted."""
     h = _check_bandwidth(h)
-    g = max(GRID_MIN_POINTS, min(GRID_MAX_POINTS, x.size // 2))
-    lo = x[0] - GRID_CUT_BANDWIDTHS * h
-    hi = x[-1] + GRID_CUT_BANDWIDTHS * h
-    return Grid(lo, (hi - lo) / (g - 1), g)
+    return Grid(*_grid_span(x[0], x[-1], x.size, h))
+
+
+def _grid_size(n: int) -> int:
+    """Number of points of the default grid for a sample of size ``n``."""
+    return max(GRID_MIN_POINTS, min(GRID_MAX_POINTS, n // 2))
+
+
+def _grid_span(first, last, n: int, h: float):
+    """(start, spacing, size) of the default grid of samples running from
+    ``first`` to ``last``; scalars for one sample, arrays for a block."""
+    g = _grid_size(n)
+    lo = first - GRID_CUT_BANDWIDTHS * h
+    hi = last + GRID_CUT_BANDWIDTHS * h
+    return lo, (hi - lo) / (g - 1), g
 
 
 def kde_direct(x, grid: Grid, h) -> DensityCurve:
@@ -183,18 +196,37 @@ def kde_direct(x, grid: Grid, h) -> DensityCurve:
     return DensityCurve(grid=grid, density=density, h=h)
 
 
-def _linear_bin(x: np.ndarray, grid: Grid) -> np.ndarray:
-    """Split each observation's unit mass between its two nearest grid points."""
-    pos = (x - grid.start) / grid.spacing
-    left = np.floor(pos).astype(np.int64)
+def _linear_bin(x: np.ndarray, start, spacing, size: int) -> np.ndarray:
+    """Split each observation's unit mass between its two nearest grid points.
+
+    ``x`` is one sample on the grid of ``size`` points ``start + j * spacing``,
+    or a (k, n) block of samples, each row on its own grid, with ``start``
+    and ``spacing`` as (k, 1) columns; the counts are (size,) or (k, size).
+    A block shares one ``bincount`` per neighbour, which adds each bin's
+    weights in the order binning its row alone would.
+    """
+    pos = (x - start) / spacing
+    left = pos.astype(np.int64)  # the floor, since no observation lies left of its grid
     frac = pos - left
     # observations exactly on the last grid point
-    at_end = left == grid.size - 1
+    at_end = left == size - 1
     left[at_end] -= 1
     frac[at_end] = 1.0
-    counts = np.bincount(left, weights=1.0 - frac, minlength=grid.size)
-    counts += np.bincount(left + 1, weights=frac, minlength=grid.size)
-    return counts
+    shape = x.shape[:-1] + (size,)
+    if x.ndim == 2:  # row i's bins follow row i - 1's
+        left = (left + np.arange(0, x.shape[0] * size, size)[:, None]).ravel()
+        frac = frac.ravel()
+    counts = np.bincount(left, weights=1.0 - frac, minlength=math.prod(shape))
+    counts += np.bincount(left + 1, weights=frac, minlength=math.prod(shape))
+    return counts.reshape(shape)
+
+
+def _kernel_plan(h: float, spacing: float, size: int) -> tuple[float, int, int]:
+    """(r, half_width, m): the kernel's width and its 6h reach in grid steps,
+    and the padded transform length for a grid of ``size`` points."""
+    r = h / spacing
+    half_width = math.ceil(_KERNEL_SUPPORT_BANDWIDTHS * r)
+    return r, half_width, next_fast_len(size + half_width)
 
 
 def _kernel_transform(r: float, half_width: int, m: int) -> np.ndarray:
@@ -246,19 +278,48 @@ def kde_fft(x, grid: Grid, h) -> DensityCurve:
             f"grid: data range [{lo:g}, {hi:g}] exceeds grid span "
             f"[{grid.start:g}, {grid.stop:g}]"
         )
-    counts = _linear_bin(x, grid)
-
-    r = h / grid.spacing
-    half_width = math.ceil(_KERNEL_SUPPORT_BANDWIDTHS * r)
-    m = next_fast_len(grid.size + half_width)
-    transform = np.fft.rfft(counts, m) * _kernel_transform(r, half_width, m)
-    density = np.fft.irfft(transform, m)[: grid.size] / (x.size * grid.spacing)
-
-    peak = density.max()
-    density[np.abs(density) < _NEGATIVE_CLAMP_RATIO * peak] = 0.0
+    r, half_width, m = _kernel_plan(h, grid.spacing, grid.size)
+    counts = _linear_bin(x, grid.start, grid.spacing, grid.size)
+    density = _convolve(counts, _kernel_transform(r, half_width, m), m, x.size, grid.spacing)
     return DensityCurve(grid=grid, density=density, h=h)
+
+
+def _convolve(counts: np.ndarray, kernel: np.ndarray, m: int, n: int, spacing) -> np.ndarray:
+    """Density from bin counts at padded length ``m``: the product of their
+    transform with the kernel's, normalised, with roundoff lobes clamped.
+
+    ``counts`` and ``spacing`` are one row or a block of rows, as in
+    :func:`_linear_bin`; a block takes one kernel transform per row.
+    """
+    size = counts.shape[-1]
+    density = np.fft.irfft(np.fft.rfft(counts, m) * kernel, m)[..., :size] / (n * spacing)
+    peak = density.max(axis=-1, keepdims=density.ndim == 2)  # a scalar for one row is cheaper
+    density[np.abs(density) < _NEGATIVE_CLAMP_RATIO * peak] = 0.0
+    return density
 
 
 def _kde_at(x: np.ndarray, h) -> DensityCurve:
     """``kde_fft`` of a validated, sorted sample at ``h`` on its default grid."""
     return kde_fft(x, _default_grid(x, h), h)
+
+
+def _kde_rows_at(rows: np.ndarray, h: float) -> np.ndarray:
+    """:func:`_kde_at` of each row of a (k, n) block of sorted samples, as a (k, g) array.
+
+    Each row is binned onto its own default grid and gets its own kernel
+    transform; rows sharing a padded length share one 2-D ``rfft`` and
+    ``irfft``. Every step is the one ``kde_fft`` takes, so each row is bit
+    for bit its ``kde_fft`` density.
+    """
+    starts, spacings, size = _grid_span(rows[:, :1], rows[:, -1:], rows.shape[1], h)
+    counts = _linear_bin(rows, starts, spacings, size)
+    groups: dict[int, tuple[list, list]] = {}  # padded length -> (rows, kernel transforms)
+    for i, spacing in enumerate(spacings.ravel().tolist()):
+        r, half_width, m = _kernel_plan(h, spacing, size)
+        which, kernels = groups.setdefault(m, ([], []))
+        which.append(i)
+        kernels.append(_kernel_transform(r, half_width, m))
+    density = np.empty(counts.shape)
+    for m, (which, kernels) in groups.items():
+        density[which] = _convolve(counts[which], np.array(kernels), m, rows.shape[1], spacings[which])
+    return density

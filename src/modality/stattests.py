@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TestInconclusiveError, ValidationError
-from .kde import _check_size, _kde_at, _silverman_bandwidth, as_sample
-from .modes import count_modes
+from .kde import _check_size, _grid_size, _kde_at, _kde_rows_at, _silverman_bandwidth, as_sample
+from .modes import _candidate_counts, _mode_runs
 from .rng import random_open01, standard_normals, substream
 from .solver import _check_solvable, _solve
 
@@ -38,6 +38,16 @@ __all__ = [
 
 # Number of uniformly spaced thresholds for the excess-mass ladder.
 EXCESS_MASS_LEVELS = 200
+
+# Monte Carlo replicates are drawn and evaluated in blocks of rows holding
+# about this many values: rows x (n + grid points) in the Silverman test
+# (10 rows at n = 400, one from n = 4 001 up), rows x n in the dip test.
+# Larger blocks share more transforms but raise the peak memory.
+_BLOCK_VALUES = 12_000
+
+# A null row skips the dip walk when its Kolmogorov-Smirnov distance to the
+# uniform, enlarged by this relative margin for rounding, is below the dip.
+_KS_SCREEN_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -80,6 +90,13 @@ def silverman_test(x, mod0: int = 1, resamples: int = 999, seed: int = 0) -> Tes
     ``mod0`` modes at the same bandwidth -- by mode-count monotonicity in
     the bandwidth, exactly the event that its own critical bandwidth is
     at least the observed one.
+
+    Replicates are drawn and evaluated in blocks of rows. Row ``i`` still
+    draws from its own substream ``(seed, "silverman", i)`` with the same
+    arithmetic, and its density on its own default grid is bit for bit
+    the one ``kde_fft`` gives, so the p-value does not depend on the
+    block size. Only rows with more than ``mod0`` candidate maxima (an
+    upper bound on the mode count) have their modes counted exactly.
     """
     return _silverman_test(as_sample(x, min_size=10), mod0, resamples, seed)
 
@@ -103,13 +120,20 @@ def _silverman_test(x: np.ndarray, mod0: int, resamples: int, seed: int) -> Test
     shrink = 1.0 / np.sqrt(1.0 + h * h / np.var(x, ddof=1))
 
     exceed = 0
-    for i in range(resamples):
-        rng = substream(seed, "silverman", i)
-        idx = rng.integers(0, n, size=n)
-        noise = standard_normals(rng, n)
+    for block in _blocks(resamples, n + _grid_size(n)):
+        idx = np.empty((len(block), n), dtype=np.int64)
+        noise = np.empty((len(block), n))
+        for row, i in enumerate(block):
+            rng = substream(seed, "silverman", i)
+            idx[row] = rng.integers(0, n, size=n)
+            noise[row] = standard_normals(rng, n)
         y = center + (x[idx] + h * noise - center) * shrink
-        if count_modes(_kde_at(np.sort(y), h)) > mod0:
-            exceed += 1
+        y.sort(axis=1)
+        density = _kde_rows_at(y, h)
+        # the candidate count bounds the mode count from above
+        for row in np.flatnonzero(_candidate_counts(density) > mod0):
+            if _mode_runs(density[row])[0].size > mod0:
+                exceed += 1
     p = (1.0 + exceed) / (resamples + 1.0)
     return TestResult(statistic=h, p_value=p, resamples=resamples,
                       method="silverman", h_crit=h)
@@ -247,6 +271,15 @@ def dip_test(x, resamples: int = 999, seed: int = 0) -> TestResult:
     uniform, so calibrating there gives a conservative test for any
     unimodal null without lookup tables. The sample is validated once;
     each null replicate is already finite, so it is only sorted.
+
+    Null rows are drawn in blocks, row ``i`` from substream
+    ``(seed, "dip", i)``, and screened before the hull walk. The
+    Uniform(0, 1) CDF is itself unimodal, so a row's dip, its distance
+    to the nearest unimodal CDF, is at most its Kolmogorov-Smirnov
+    distance to the uniform. A row whose KS distance, enlarged by a
+    relative 1e-9 for rounding, is below the observed dip therefore
+    cannot count as an exceedance, and skips the walk; the p-value is
+    exactly the one walking every row gives.
     """
     return _dip_test(as_sample(x, min_size=4), resamples, seed)
 
@@ -257,13 +290,33 @@ def _dip_test(x: np.ndarray, resamples: int, seed: int) -> TestResult:
     if resamples < 199:
         raise ValidationError(f"resamples: must be >= 199, got {resamples}")
     d = _dip_of_sorted(x)
+    n = x.size
     exceed = 0
-    for i in range(resamples):
-        u = np.sort(random_open01(substream(seed, "dip", i), x.size))
-        if _dip_of_sorted(u) >= d:
-            exceed += 1
+    for block in _blocks(resamples, n):
+        u = np.empty((len(block), n))
+        for row, i in enumerate(block):
+            u[row] = random_open01(substream(seed, "dip", i), n)
+        u.sort(axis=1)
+        # dip <= KS: a row whose KS is below d cannot reach it
+        for row in np.flatnonzero(_ks_to_uniform(u) * (1.0 + _KS_SCREEN_MARGIN) >= d):
+            if _dip_of_sorted(u[row]) >= d:
+                exceed += 1
     p = (1.0 + exceed) / (resamples + 1.0)
     return TestResult(statistic=d, p_value=p, resamples=resamples, method="dip")
+
+
+def _blocks(resamples: int, values_per_row: int) -> list[range]:
+    """Replicate indices 0 .. resamples - 1, split into blocks of about _BLOCK_VALUES values."""
+    rows = max(1, _BLOCK_VALUES // values_per_row)
+    return [range(i, min(i + rows, resamples)) for i in range(0, resamples, rows)]
+
+
+def _ks_to_uniform(u: np.ndarray) -> np.ndarray:
+    """Kolmogorov-Smirnov distance of each sorted row of ``u`` to the Uniform(0, 1) CDF."""
+    n = u.shape[-1]
+    above = (np.arange(1, n + 1) / n - u).max(axis=-1)  # ECDF just after each point
+    below = (u - np.arange(n) / n).max(axis=-1)  # and just before it
+    return np.maximum(above, below)
 
 
 def _interval_masses(pts: np.ndarray, density: np.ndarray, p: float) -> list[float]:

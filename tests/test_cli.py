@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +168,16 @@ def test_test_excess_reports_delta(wellsep_csv, capsys):
     assert report["method"] == "excess_mass"
     assert report["statistic"] > 0.3
     assert report["p_value"] is None
+
+
+@pytest.mark.parametrize("method", ["silverman", "dip"])
+def test_test_output_matches_golden_file(method, capsys, monkeypatch):
+    # the golden files are this command's stdout, run from the repository root
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    data = Path("tests") / "data"
+    argv = ["test", str(data / "well_separated_n400.csv"), "--method", method, "--format", "json", "--seed", "0"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (data / f"well_separated_n400_{method}.json").read_bytes()
 
 
 def test_modes_subcommand(wellsep_csv, capsys):

@@ -14,7 +14,7 @@ from modality import (
     sample_mixture,
     silverman_bandwidth,
 )
-from modality.kde import GRID_MAX_POINTS, GRID_MIN_POINTS, _linear_bin
+from modality.kde import GRID_MAX_POINTS, GRID_MIN_POINTS, _default_grid, _kde_rows_at, _linear_bin
 
 
 def _hand_silverman(x):
@@ -176,7 +176,7 @@ def test_fft_matches_direct_at_former_switch(n):
 def _sampled_kernel_kde(x, grid, h):
     """Reference: convolution with the sampled kernel, truncated at 6h and
     transformed by FFT, on the grid padded by that reach on both sides."""
-    counts = _linear_bin(np.asarray(x, dtype=float), grid)
+    counts = _linear_bin(np.asarray(x, dtype=float), grid.start, grid.spacing, grid.size)
     half_width = int(np.ceil(6.0 * h / grid.spacing))
     offsets = np.arange(-half_width, half_width + 1) * grid.spacing
     kernel = np.exp(-0.5 * (offsets / h) ** 2) / (h * np.sqrt(2.0 * np.pi))
@@ -230,3 +230,22 @@ def test_kde_fft_transform_count_and_length(r, transforms, monkeypatch):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     kde_fft(x, grid, h)
     assert lengths == [next_fast_len(grid.size + int(np.ceil(6.0 * r)))] * transforms
+
+
+@pytest.mark.parametrize("h", [0.01, 0.3, 1.86])
+@pytest.mark.parametrize("sample", ["two_values", "well_separated"])
+def test_block_densities_equal_kde_fft(sample, h, request):
+    # a block of bootstrap-like rows, scaled so that it mixes kernels
+    # narrower and wider than 3 grid steps and several padded lengths
+    x = np.array([0.0] * 5 + [1.0] * 7) if sample == "two_values" else request.getfixturevalue(sample)
+    rng = np.random.default_rng(4)
+    block = np.array([
+        np.sort(scale * x[rng.integers(0, x.size, x.size)] + h * rng.standard_normal(x.size))
+        for scale in (0.1, 1.0, 10.0, 100.0, 1000.0) for _ in range(2)
+    ])
+    grids = [_default_grid(row, h) for row in block]
+    steps = [h / grid.spacing for grid in grids]
+    assert min(steps) < 3.0 <= max(steps)
+    assert len({next_fast_len(grid.size + int(np.ceil(6.0 * r))) for grid, r in zip(grids, steps)}) > 1
+    for row, grid, density in zip(block, grids, _kde_rows_at(block, h)):
+        assert np.array_equal(density, kde_fft(row, grid, h).density)

@@ -20,6 +20,7 @@ from modality.modes import (
     PROMINENCE_DEPTH_RATIO,
     PROMINENCE_GLOBAL_RATIO,
     PROMINENCE_RATIO,
+    _candidate_counts,
     _mode_runs,
 )
 from tests.conftest import EXTREME_SEPARATION, UNEQUAL_WEIGHTS
@@ -207,6 +208,19 @@ def _assert_same_runs(density):
 ))
 def test_mode_scan_matches_run_compression_on_tied_values(values):
     _assert_same_runs(np.asarray(values, dtype=float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.one_of(st.integers(0, 3), st.integers(0, 1000), st.integers(990, 1000)), min_size=2, max_size=80,
+))
+def test_candidate_count_bounds_the_mode_count(values):
+    # the screen in silverman_test may only skip rows that have at most its bound of modes
+    density = np.asarray(values, dtype=float)
+    block = np.stack([density, density[::-1]])
+    bounds = _candidate_counts(block)
+    assert bounds[0] >= _mode_runs(density)[0].size
+    assert bounds[1] >= _mode_runs(density[::-1].copy())[0].size
 
 
 def test_mode_scan_matches_run_compression_on_table2_curves():

@@ -8,12 +8,28 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modality import count_modes, default_grid, dip_statistic, kde_fft
+from modality.stattests import _KS_SCREEN_MARGIN, _dip_of_sorted, _ks_to_uniform
 
 # integer samples, n in [2, 60]: a narrow value range forces heavy ties
 tied_samples = st.integers(2, 60).flatmap(
     lambda n: st.one_of(
         st.lists(st.integers(0, 3), min_size=n, max_size=n),
         st.lists(st.integers(-1000, 1000), min_size=n, max_size=n),
+    )
+)
+
+open01 = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+# samples in (0, 1), n in [4, 200]: spread out, tied on a few values, in one
+# or two tight clusters, or at the midpoints (i + 1/2) / n, where the dip and
+# the KS distance are both 1 / (2n) and only rounding tells them apart
+open01_samples = st.integers(4, 200).flatmap(
+    lambda n: st.one_of(
+        st.lists(open01, min_size=n, max_size=n),
+        st.just(list((np.arange(n) + 0.5) / n)),
+        st.lists(st.sampled_from([1e-9, 0.25, 0.5, 0.5 + 1e-12, 0.75, 1.0 - 1e-9]), min_size=n, max_size=n),
+        st.lists(st.floats(0.4, 0.4001), min_size=n, max_size=n),
+        st.lists(st.one_of(st.floats(0.1, 0.1001), st.floats(0.9, 0.9001)), min_size=n, max_size=n),
     )
 )
 
@@ -52,3 +68,13 @@ def test_two_values_never_show_more_than_two_modes(a, b, count_a, count_b, h_per
     x = np.sort(np.array([a] * count_a + [b] * count_b))
     h = h_per_gap * abs(b - a)
     assert count_modes(kde_fft(x, default_grid(x, h), h)) <= 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(open01_samples)
+def test_dip_never_exceeds_the_ks_distance_to_the_uniform(values):
+    """The uniform CDF is unimodal, so the dip is at most the KS distance to it,
+    up to rounding: dip_test may skip a null row whose KS distance, enlarged
+    by the screen's margin, is below the observed dip."""
+    u = np.sort(np.asarray(values))
+    assert _dip_of_sorted(u) <= _ks_to_uniform(u) * (1.0 + _KS_SCREEN_MARGIN)

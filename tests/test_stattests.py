@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import modality.stattests as stattests_mod
 from modality import (
     ValidationError,
     dip_statistic,
@@ -189,6 +190,22 @@ def test_dip_test_pinned_answers(well_separated, normal_500):
     assert (unimodal.statistic, unimodal.p_value) == (0.013308645219373048, 0.815)
 
 
+def test_dip_test_walks_no_null_row_that_cannot_reach_the_dip(well_separated, monkeypatch):
+    # every null row's KS distance to the uniform, an upper bound on its
+    # dip, is below the bimodal sample's dip: only the sample itself is walked
+    walks = []
+    walk = stattests_mod._dip_of_sorted
+
+    def counting(x):
+        walks.append(x.size)
+        return walk(x)
+
+    monkeypatch.setattr(stattests_mod, "_dip_of_sorted", counting)
+    result = dip_test(well_separated, resamples=199, seed=0)
+    assert walks == [well_separated.size]
+    assert result.p_value == 0.005
+
+
 def test_dip_statistic_ignores_input_order(well_separated):
     shuffled = np.random.default_rng(3).permutation(well_separated)
     assert dip_statistic(shuffled) == dip_statistic(well_separated)
@@ -223,6 +240,42 @@ def test_silverman_test_determinism(well_separated):
     a = silverman_test(well_separated, mod0=1, resamples=99, seed=3)
     b = silverman_test(well_separated, mod0=1, resamples=99, seed=3)
     assert a == b
+
+
+def test_silverman_test_pinned_answers(well_separated, normal_500, near_unimodal, trimodal):
+    # recorded before replicates were evaluated in blocks; compared with ==
+    # so that any change to the draws, the KDE arithmetic or the mode count shows
+    tied = np.sort(np.random.default_rng(5).integers(0, 12, 150).astype(float))
+    expected = [
+        (well_separated, 1, (1.859712486892561, 0.005)),
+        (normal_500, 1, (0.24660817680560587, 0.415)),
+        (near_unimodal, 1, (0.32910150943345484, 0.135)),
+        (trimodal, 2, (1.3593049970178006, 0.005)),
+        (tied, 1, (2.0168869406777743, 0.035)),
+    ]
+    for x, mod0, answer in expected:
+        result = silverman_test(x, mod0=mod0, resamples=199, seed=0)
+        assert (result.statistic, result.p_value) == answer
+
+
+def _monte_carlo_answers(samples):
+    return [
+        (silverman_test(x, resamples=199, seed=2), dip_test(x, resamples=199, seed=2))
+        for x in samples
+    ]
+
+
+@pytest.mark.parametrize("block_values,blocks", [(1, 199), (10**9, 1)])
+def test_monte_carlo_tests_do_not_depend_on_the_block_size(
+    block_values, blocks, well_separated, normal_500, monkeypatch
+):
+    # the same seed gives the same numbers with one replicate per block
+    # and with every replicate in one block
+    samples = (well_separated, normal_500)
+    expected = _monte_carlo_answers(samples)
+    monkeypatch.setattr(stattests_mod, "_BLOCK_VALUES", block_values)
+    assert len(stattests_mod._blocks(199, well_separated.size + 800)) == blocks
+    assert _monte_carlo_answers(samples) == expected
 
 
 def test_silverman_test_validation(normal_500):
