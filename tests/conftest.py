@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import modality.kde as kde_mod
+import modality.stattests as stattests_mod
 from modality import MixtureSpec, sample_mixture
 
 WELL_SEPARATED = MixtureSpec(((0.5, -2.0, 0.3), (0.5, 2.0, 0.3)), 400)
@@ -45,15 +46,23 @@ def normal_500():
 
 @pytest.fixture
 def kde_bandwidths(monkeypatch):
-    """The bandwidth of every KDE evaluation made while the test runs."""
+    """The bandwidth of every KDE evaluation made while the test runs,
+    one entry per row of a block that a Monte Carlo test evaluates at once."""
     seen = []
     engine = kde_mod.kde_fft
+    block_engine = kde_mod._kde_rows_at
 
     def recording(x, grid, h):
         seen.append(h)
         return engine(x, grid, h)
 
+    def recording_rows(rows, h):
+        seen.extend([h] * rows.shape[0])
+        return block_engine(rows, h)
+
     monkeypatch.setattr(kde_mod, "kde_fft", recording)
+    # stattests imports the block evaluation by name
+    monkeypatch.setattr(stattests_mod, "_kde_rows_at", recording_rows)
     return seen
 
 

@@ -5,6 +5,7 @@ from scipy.optimize import linprog
 import modality.stattests as stattests_mod
 from modality import (
     ValidationError,
+    critical_bandwidth,
     dip_statistic,
     dip_test,
     excess_mass,
@@ -256,6 +257,15 @@ def test_silverman_test_pinned_answers(well_separated, normal_500, near_unimodal
     for x, mod0, answer in expected:
         result = silverman_test(x, mod0=mod0, resamples=199, seed=0)
         assert (result.statistic, result.p_value) == answer
+
+
+def test_silverman_test_evaluates_each_replicate_once(well_separated, kde_bandwidths):
+    # after the solve, one evaluation per replicate, at the critical bandwidth
+    solve = critical_bandwidth(well_separated, k=2)
+    kde_bandwidths.clear()
+    result = silverman_test(well_separated, resamples=199, seed=0)
+    assert len(kde_bandwidths) == solve.iterations + 199
+    assert kde_bandwidths[solve.iterations:] == [result.h_crit] * 199
 
 
 def _monte_carlo_answers(samples):
