@@ -3,18 +3,23 @@
 Every reader funnels into the same two steps: parse the file into a
 :class:`Table` of raw string cells, then coerce one column (or all
 numeric columns) into a validated, sorted sample. Parsing is pure per
-file content; format detection is by extension only.
+file content; format detection is by extension only. A file that cannot
+be opened, decoded or split into fields raises :class:`DataFormatError`.
 
-Numeric coercion accepts integers, decimals, and scientific notation.
-Locale decimal commas are not recognized. Empty cells are skipped
-silently; non-empty cells that fail to parse (or parse to non-finite
-values) are dropped and reported with a count via ``warnings``.
+Each column that is read is turned into numbers in one pass, and both
+the decision that it is numeric and its sample are taken from that
+pass. Numeric coercion accepts integers, decimals, and scientific
+notation. Locale decimal commas are not recognized. Empty cells are
+skipped silently; non-empty cells that fail to parse (or parse to
+non-finite values) are dropped and reported with a count via
+``warnings``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -59,14 +64,21 @@ def _parse_number(cell: str) -> float | None:
         value = float(cell)
     except ValueError:
         return None
-    return value if np.isfinite(value) else None
+    return value if math.isfinite(value) else None
 
 
-def _coerce_column(table: Table, name: str, origin: str) -> np.ndarray:
-    cells = [c for c in (cell.strip() for cell in table.columns[name]) if c != ""]
-    values = [(_parse_number(c)) for c in cells]
-    numeric = [v for v in values if v is not None]
-    dropped = len(values) - len(numeric)
+def _parse_column(cells: list[str]) -> tuple[list[float], int]:
+    """The finite numbers among ``cells`` and the count of non-empty cells that are not."""
+    cells = [c for c in (cell.strip() for cell in cells) if c != ""]
+    numeric = [v for v in map(_parse_number, cells) if v is not None]
+    return numeric, len(cells) - len(numeric)
+
+
+def _is_numeric(numeric: list[float], dropped: int) -> bool:
+    return bool(numeric) and len(numeric) / (len(numeric) + dropped) >= NUMERIC_SHARE
+
+
+def _coerce_column(name: str, numeric: list[float], dropped: int, origin: str) -> np.ndarray:
     if dropped:
         warnings.warn(
             f"{origin}: column {name!r}: dropped {dropped} non-numeric cell(s)",
@@ -75,18 +87,6 @@ def _coerce_column(table: Table, name: str, origin: str) -> np.ndarray:
     if len(numeric) < 2:
         raise DataFormatError(f"{origin}: column {name!r}: fewer than 2 numeric values")
     return as_sample(numeric)
-
-
-def _numeric_share(cells: list[str]) -> float:
-    nonempty = [c for c in (cell.strip() for cell in cells) if c != ""]
-    if not nonempty:
-        return 0.0
-    ok = sum(1 for c in nonempty if _parse_number(c) is not None)
-    return ok / len(nonempty)
-
-
-def _numeric_columns(table: Table) -> list[str]:
-    return [n for n in table.column_names if _numeric_share(table.columns[n]) >= NUMERIC_SHARE]
 
 
 def _rows_to_table(rows: list[list[str]], origin: str) -> Table:
@@ -148,10 +148,11 @@ def _read_json(path: Path) -> Table:
 
 
 _DELIMITER_CELL = re.compile(r"^:?-+:?$")
+_PIPE = re.compile(r"(?<!\\)\|")  # a cell boundary: a pipe not escaped as \|
 
 
 def _split_pipe_row(line: str) -> list[str]:
-    parts = re.split(r"(?<!\\)\|", line)
+    parts = _PIPE.split(line)
     stripped = line.strip()
     if stripped.startswith("|"):
         parts = parts[1:]
@@ -205,7 +206,11 @@ _READERS = {
 
 
 def read_table(path) -> Table:
-    """Parse ``path`` into a :class:`Table`, detecting the format by extension."""
+    """Parse ``path`` into a :class:`Table`, detecting the format by extension.
+
+    A missing file, or one that cannot be read, decoded or parsed, raises
+    :class:`DataFormatError` naming the path.
+    """
     path = Path(path)
     ext = path.suffix.lower()
     if ext not in _READERS:
@@ -214,32 +219,40 @@ def read_table(path) -> Table:
         )
     if not path.exists():
         raise DataFormatError(f"{path}: file not found")
-    return _READERS[ext](path)
+    try:
+        return _READERS[ext](path)
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
+        raise DataFormatError(f"{path}: cannot read file: {e}") from e
 
 
 def read_data(path, column: str | None = None, return_all: bool = False):
     """Load a numeric sample (sorted array) from a tabular file.
 
-    With ``column``, coerce exactly that column. Otherwise pick the first
-    column whose non-empty cells are at least 90% numeric. With
-    ``return_all``, return ``[(name, sample), ...]`` for every numeric
-    column instead.
+    Each column read is parsed once, and that one pass decides both
+    whether the column is numeric and what its sample is. With
+    ``column``, coerce exactly that column. Otherwise walk the columns
+    left to right and stop at the first one whose non-empty cells are at
+    least 90% numeric; later columns are not parsed. With ``return_all``
+    (which takes precedence over ``column``), return
+    ``[(name, sample), ...]`` for every numeric column instead. A file
+    that cannot be read raises :class:`DataFormatError`.
     """
     path = Path(path)
     table = read_table(path)
     origin = path.name
     if return_all:
-        names = _numeric_columns(table)
-        if not names:
+        parsed = [(n, *_parse_column(table.columns[n])) for n in table.column_names]
+        numeric = [c for c in parsed if _is_numeric(*c[1:])]
+        if not numeric:
             raise DataFormatError(f"{origin}: no numeric columns")
-        return [(n, _coerce_column(table, n, origin)) for n in names]
+        return [(c[0], _coerce_column(*c, origin)) for c in numeric]
     if column is not None:
         if column not in table.columns:
             raise DataFormatError(
                 f"{origin}: column {column!r} not found; have {list(table.column_names)}"
             )
-        return _coerce_column(table, column, origin)
-    names = _numeric_columns(table)
-    if not names:
-        raise DataFormatError(f"{origin}: no numeric column to select")
-    return _coerce_column(table, names[0], origin)
+        return _coerce_column(column, *_parse_column(table.columns[column]), origin)
+    for name in table.column_names:
+        if _is_numeric(*(parsed := _parse_column(table.columns[name]))):
+            return _coerce_column(name, *parsed, origin)
+    raise DataFormatError(f"{origin}: no numeric column to select")

@@ -132,6 +132,19 @@ def test_analyze_missing_file(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda path: path.mkdir(), id="directory"),
+    pytest.param(lambda path: path.write_bytes(b"value\n1.5\n\xff\xfe\n2.5\n"), id="not_utf8"),
+    pytest.param(lambda path: path.write_text("value\n" + "1" * 131_073 + "\n"), id="huge_field"),
+])
+def test_analyze_unreadable_file_exits_2(make, tmp_path, capsys):
+    path = tmp_path / "x.csv"
+    make(path)
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(path) in err
+
+
 def test_analyze_single_value_exits_2(tmp_path, capsys):
     path = tmp_path / "one.csv"
     path.write_text("v\n3.0\n")
@@ -178,6 +191,31 @@ def test_test_output_matches_golden_file(method, capsys, monkeypatch):
     argv = ["test", str(data / "well_separated_n400.csv"), "--method", method, "--format", "json", "--seed", "0"]
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == (data / f"well_separated_n400_{method}.json").read_bytes()
+
+
+def test_analyze_output_matches_golden_file_in_every_format(tmp_path, capsys, monkeypatch):
+    # the golden file is the CSV's stdout, run from the repository root
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    source = Path("tests") / "data" / "well_separated_n400.csv"
+    golden = source.with_name("well_separated_n400_analyze.json").read_bytes()
+    assert main(["analyze", str(source), "--format", "json"]) == 0
+    assert capsys.readouterr().out.encode() == golden
+
+    expected = json.loads(golden)
+    del expected["input"]["path"]
+    cells = source.read_text().split()[1:]
+    files = {
+        "sample.tsv": "value\tgroup\n" + "".join(f"{c}\tg{i % 3}\n" for i, c in enumerate(cells)),
+        "sample.json": "[" + ", ".join(cells) + "]\n",
+        "sample.md": "| value |\n|---:|\n" + "".join(f"| {c} |\n" for c in cells),
+    }
+    for name, text in files.items():
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["analyze", str(path), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["input"].pop("path") == str(path)
+        assert report == expected, name
 
 
 def test_modes_subcommand(wellsep_csv, capsys):
@@ -243,6 +281,20 @@ def test_benchmark_single_case_values():
     assert all(1.7 <= h <= 2.0 for h in row.h_crit)
     assert "case" in rows_to_csv([row]).splitlines()[0]
     assert "well_separated" in rows_to_text([row])
+
+
+def test_benchmark_case_validates_once_and_evaluates_each_bandwidth_once(
+        kde_bandwidths, as_sample_calls):
+    from modality.benchmark import run_case
+
+    for seed in (0, 1):
+        kde_bandwidths.clear()
+        as_sample_calls.clear()
+        row = run_case(CASES[0], seeds=(seed,))
+        assert row.failures == 0
+        assert len(as_sample_calls) == 1
+        # the mode count at h0 is the solve's first evaluation, not a second one
+        assert len(set(kde_bandwidths)) == len(kde_bandwidths) > 1
 
 
 def test_scalability_rows():

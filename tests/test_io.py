@@ -1,9 +1,20 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modality import DataFormatError, ValidationError, parse_markdown_table, read_data
+import modality.io as io_mod
+from modality import (
+    DataFormatError,
+    ModalityError,
+    ValidationError,
+    parse_markdown_table,
+    read_data,
+)
 from modality.io import Table, read_table
 
 
@@ -184,3 +195,124 @@ def test_table_rejects_ragged_columns():
 def test_read_table_missing_file(tmp_path):
     with pytest.raises(DataFormatError, match="not found"):
         read_table(tmp_path / "nope.csv")
+
+
+def test_each_cell_is_parsed_once(tmp_path, monkeypatch):
+    values = [f"{i}.5" for i in range(12)]
+    values[4] = ""
+    rows = "".join(f"{v}\tname{i}\n" for i, v in enumerate(values))
+    path = _write(tmp_path, "data.tsv", "value\tlabel\n" + rows)
+    calls = []
+    parse = io_mod._parse_number
+    monkeypatch.setattr(io_mod, "_parse_number", lambda cell: calls.append(cell) or parse(cell))
+    assert read_data(path).size == 11
+    # the header check stops at the first name that is not a number, and the
+    # text column after the selected one is never parsed
+    assert calls == ["value"] + [v for v in values if v]
+
+
+# --- the one-pass reader against the two-pass rule it replaced ---------------
+
+def _two_pass_read(path, column=None, return_all=False):
+    """``read_data`` by the two-pass rule: pick the columns whose non-empty
+    cells are at least 90% finite numbers, then parse the chosen ones again."""
+    table = read_table(path)
+    origin = path.name
+
+    def number(cell):
+        try:
+            value = float(cell)
+        except ValueError:
+            return None
+        return value if math.isfinite(value) else None
+
+    def nonempty(name):
+        return [c for c in (cell.strip() for cell in table.columns[name]) if c != ""]
+
+    def share(name):
+        cells = nonempty(name)
+        return sum(1 for c in cells if number(c) is not None) / len(cells) if cells else 0.0
+
+    def coerce(name):
+        values = [number(c) for c in nonempty(name)]
+        numeric = [v for v in values if v is not None]
+        if len(values) > len(numeric):
+            warnings.warn(f"{origin}: column {name!r}: dropped {len(values) - len(numeric)} "
+                          "non-numeric cell(s)")
+        if len(numeric) < 2:
+            raise DataFormatError(f"{origin}: column {name!r}: fewer than 2 numeric values")
+        return np.sort(np.array(numeric))
+
+    names = [n for n in table.column_names if share(n) >= 0.9]
+    if return_all:
+        if not names:
+            raise DataFormatError(f"{origin}: no numeric columns")
+        return [(n, coerce(n)) for n in names]
+    if column is not None:
+        if column not in table.columns:
+            raise DataFormatError(
+                f"{origin}: column {column!r} not found; have {list(table.column_names)}"
+            )
+        return coerce(column)
+    if not names:
+        raise DataFormatError(f"{origin}: no numeric column to select")
+    return coerce(names[0])
+
+
+def _outcome(read, path, **kwargs):
+    """What a reader returns or raises, and the warnings it gives, as plain values."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = read(path, **kwargs)
+        except ModalityError as e:
+            result = (type(e), str(e))
+    if isinstance(result, np.ndarray):
+        result = result.tolist()
+    elif isinstance(result, list):
+        result = [(name, sample.tolist()) for name, sample in result]
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+_NUMBER = st.one_of(st.integers(-99, 99).map(str), st.floats(-1e6, 1e6).map(repr))
+_NUMERIC_CELL = st.one_of(_NUMBER, _NUMBER.map(lambda s: f"  {s} "))
+_ODD_CELL = st.sampled_from(["", "   ", "inf", "-inf", "nan", "1e400", "n/a", "abc"])
+_ANY_CELL = st.one_of(_NUMERIC_CELL, _ODD_CELL)
+
+
+@st.composite
+def _tables(draw):
+    """Column names (None for a headerless table) and columns of string cells."""
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    columns = [
+        draw(st.lists(draw(st.sampled_from([_NUMERIC_CELL, _ANY_CELL, _ODD_CELL])),
+                      min_size=height, max_size=height))
+        for _ in range(width)
+    ]
+    names = draw(st.one_of(st.none(), st.lists(
+        st.sampled_from(["a", "b", "value", "x y", "id"]), min_size=width, max_size=width,
+        unique=True)))
+    return names, columns
+
+
+def _table_text(ext, names, columns):
+    if ext == ".json":
+        keys = names or [f"col{i}" for i in range(len(columns))]
+        return json.dumps(dict(zip(keys, columns)))
+    rows = ([names] if names else []) + [list(row) for row in zip(*columns)]
+    if ext == ".md":
+        lines = ["| " + " | ".join(row) + " |" for row in rows]
+        return "\n".join(lines[:1] + ["|" + "---|" * len(columns)] + lines[1:]) + "\n"
+    return "".join(("," if ext == ".csv" else "\t").join(row) + "\n" for row in rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=_tables(), pick=st.sampled_from(["a", "value", "col0", "col1", "missing"]))
+def test_one_pass_matches_two_pass_rule(tmp_path_factory, table, pick):
+    folder = tmp_path_factory.mktemp("one_pass")
+    for ext in (".csv", ".tsv", ".md", ".json"):
+        path = folder / f"table{ext}"
+        path.write_text(_table_text(ext, *table), encoding="utf-8")
+        for kwargs in ({}, {"column": pick}, {"return_all": True},
+                       {"column": pick, "return_all": True}):
+            assert _outcome(read_data, path, **kwargs) == _outcome(_two_pass_read, path, **kwargs)
