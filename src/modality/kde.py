@@ -5,8 +5,9 @@ it linear-bins the sample onto the grid and convolves with the Gaussian
 kernel by FFT in O(n + g log g) (binned KDE, Silverman 1982, AS 176;
 Wand 1994). The kernel's transform is the Gaussian's closed form, so an
 evaluation costs two transforms, one of the bin counts and one back.
-Monte Carlo tests evaluate a block of replicates at once with the same
-arithmetic (``_kde_rows_at``), each row bit for bit its ``kde_fft``.
+Monte Carlo tests and the bootstrap interval evaluate a block of
+replicates at once with the same arithmetic (``_kde_rows_at``), each row
+at its own bandwidth and bit for bit its ``kde_fft``.
 ``kde_direct`` is the exact O(n*g) direct sum, kept as the oracle the
 engine is tested against.
 """
@@ -303,19 +304,40 @@ def _kde_at(x: np.ndarray, h) -> DensityCurve:
     return kde_fft(x, _default_grid(x, h), h)
 
 
-def _kde_rows_at(rows: np.ndarray, h: float) -> np.ndarray:
+# Replicate loops work on blocks of rows holding about this many values:
+# rows x (n + grid points) where each row is a KDE (the Silverman test and
+# the bootstrap interval: 40 rows at n = 400, one from n = 19 001 up), and
+# rows x n in the dip test (120 rows at n = 400). Larger blocks share more
+# transforms but raise the peak memory.
+_BLOCK_VALUES = 48_000
+
+
+def _block_rows(values_per_row: int) -> int:
+    """Rows of ``values_per_row`` values that make one block of about _BLOCK_VALUES values."""
+    return max(1, _BLOCK_VALUES // values_per_row)
+
+
+def _blocks(resamples: int, values_per_row: int) -> list[range]:
+    """Replicate indices 0 .. resamples - 1, split into blocks of about _BLOCK_VALUES values."""
+    rows = _block_rows(values_per_row)
+    return [range(i, min(i + rows, resamples)) for i in range(0, resamples, rows)]
+
+
+def _kde_rows_at(rows: np.ndarray, h) -> np.ndarray:
     """:func:`_kde_at` of each row of a (k, n) block of sorted samples, as a (k, g) array.
 
+    ``h`` is one bandwidth for every row or a sequence of one per row.
     Each row is binned onto its own default grid and gets its own kernel
     transform; rows sharing a padded length share one 2-D ``rfft`` and
     ``irfft``. Every step is the one ``kde_fft`` takes, so each row is bit
     for bit its ``kde_fft`` density.
     """
-    starts, spacings, size = _grid_span(rows[:, :1], rows[:, -1:], rows.shape[1], h)
+    hs = np.broadcast_to(np.asarray(h, dtype=np.float64), rows.shape[:1])
+    starts, spacings, size = _grid_span(rows[:, :1], rows[:, -1:], rows.shape[1], hs[:, None])
     counts = _linear_bin(rows, starts, spacings, size)
     groups: dict[int, tuple[list, list]] = {}  # padded length -> (rows, kernel transforms)
-    for i, spacing in enumerate(spacings.ravel().tolist()):
-        r, half_width, m = _kernel_plan(h, spacing, size)
+    for i, (h_row, spacing) in enumerate(zip(hs.tolist(), spacings.ravel().tolist())):
+        r, half_width, m = _kernel_plan(h_row, spacing, size)
         which, kernels = groups.setdefault(m, ([], []))
         which.append(i)
         kernels.append(_kernel_transform(r, half_width, m))

@@ -144,19 +144,49 @@ def _mode_runs(density: np.ndarray):
     return starts, ends, heights
 
 
-def _candidate_counts(density: np.ndarray) -> np.ndarray:
-    """Upper bound on the mode count of each row of a (k, g) block of curves.
+def _at_most_modes(density: np.ndarray, m: int) -> np.ndarray:
+    """Whether each row of a (k, g) block of curves has at most ``m`` modes.
 
-    Counts the candidates ``_mode_runs`` starts from, the points entered by
-    a rise and not left by one, that reach PROMINENCE_RATIO of the row's
-    peak. Every later step of ``_mode_runs`` only drops or merges
-    candidates, so a row whose bound is at most some count has at most
-    that many modes.
+    Exactly ``_mode_runs(row)[0].size <= m`` for every row, decided for the
+    whole block from the candidates ``_mode_runs`` starts from: the points
+    entered by a rise and not left by one that reach PROMINENCE_RATIO of
+    the row's peak. Later steps only drop or merge candidates, so a row
+    with at most ``m`` of them has at most ``m`` modes. In a row whose
+    candidates are all single points, the saddles of its adjacent pairs
+    are the ones ``_merge_shallow_pairs`` first looks at: with no shallow
+    pair every candidate is a mode, and with ``m + 1`` candidates and a
+    shallow pair one of them merges away. Rows with a plateau candidate,
+    and rows with more candidates and a shallow pair, go to ``_mode_runs``.
     """
-    rising = (density[:, 1:] - density[:, :-1]) > 0.0  # as in _mode_runs
+    diffs = density[:, 1:] - density[:, :-1]  # as in _mode_runs
+    rising = diffs > 0.0
+    peaks = density.max(axis=1)
     candidates = rising[:, :-1] & ~rising[:, 1:]
-    candidates &= density[:, 1:-1] >= PROMINENCE_RATIO * density.max(axis=1, keepdims=True)
-    return candidates.sum(axis=1)
+    candidates &= density[:, 1:-1] >= PROMINENCE_RATIO * peaks[:, None]
+    counts = candidates.sum(axis=1)
+    at_most = counts <= m
+    plateau = (candidates & (diffs[:, 1:] == 0.0)).any(axis=1)
+    exact = np.flatnonzero(~at_most & plateau)
+    open_rows = np.flatnonzero(~at_most & ~plateau)
+    row, col = np.nonzero(candidates[open_rows])
+    pair = np.flatnonzero(row[1:] == row[:-1])  # adjacent candidates of one row
+    if pair.size:
+        curves = density[open_rows].ravel()
+        at = row * density.shape[1] + col + 1  # each candidate's index in curves
+        left, right = at[pair], at[pair + 1]
+        bounds = np.empty(2 * pair.size, dtype=np.intp)
+        bounds[0::2], bounds[1::2] = left + 1, right
+        saddles = np.minimum.reduceat(curves, bounds)[0::2]  # min strictly between the pair
+        shorter = np.minimum(curves[left], curves[right])
+        depth = shorter - saddles
+        shallow = (depth < PROMINENCE_DEPTH_RATIO * shorter) | (
+            depth < PROMINENCE_GLOBAL_RATIO * peaks[open_rows[row[pair]]])
+        merges = np.bincount(row[pair][shallow], minlength=open_rows.size) > 0
+        at_most[open_rows] = merges & (counts[open_rows] == m + 1)
+        exact = np.concatenate((exact, open_rows[merges & (counts[open_rows] > m + 1)]))
+    for i in exact:
+        at_most[i] = _mode_runs(density[i])[0].size <= m
+    return at_most
 
 
 def count_modes(curve: DensityCurve) -> int:

@@ -7,12 +7,17 @@ mean heavy smoothing is needed to merge the k-th mode away, which is the
 signature of strong multimodal structure; ``k=2`` probes bimodality.
 
 The search brackets the discrete mode-count transition around the
-rule-of-thumb bandwidth in steps of ``BRACKET_GROWTH`` and bisects it to
-``REL_TOL``, then verifies the count on both sides of the answer. Each
-mode count is one binned-FFT KDE (``kde_fft``) on the sample's default
-grid, memoized on ``h``; ``iterations`` counts distinct bandwidths. The
-public functions validate and sort the sample once; the layers below
-take it as given.
+rule-of-thumb bandwidth in steps of ``BRACKET_GROWTH``, bisects it to
+``REL_TOL``, then verifies the count on both sides of the answer. It is
+one generator, ``_search``, which yields each bandwidth it needs and is
+sent whether the estimate there has at most ``k - 1`` modes; it asks for
+each bandwidth once, and ``iterations`` counts distinct bandwidths. Two
+callers answer it with the same KDE on the sample's default grid:
+``_solve`` one evaluation at a time (``kde_fft``), and the bootstrap
+interval a block of replicate searches in lockstep, one ``_kde_rows_at``
+row per search and step, so every replicate gets the answer a solve of
+its own would. The public functions validate and sort the sample once;
+the layers below take it as given.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CIUnreliableError, ValidationError
-from .kde import _kde_at, _silverman_bandwidth, as_sample
-from .modes import count_modes
+from .kde import _block_rows, _grid_size, _kde_at, _kde_rows_at, _silverman_bandwidth, as_sample
+from .modes import _at_most_modes, count_modes
 from .rng import derive_seed, resample_with_replacement
 
 __all__ = [
@@ -76,27 +81,6 @@ class CritBandResult:
     ci_failures: int | None = None
 
 
-class _ModeCounter:
-    """Counts KDE modes at a bandwidth, evaluating each bandwidth once.
-
-    ``counts`` seeds the memo with counts the caller already took on
-    ``x``; they count as evaluations of the solve.
-    """
-
-    def __init__(self, x: np.ndarray, counts: dict[float, int] | None = None):
-        self.x = x
-        self._counts = dict(counts or {})
-
-    @property
-    def evals(self) -> int:
-        return len(self._counts)
-
-    def __call__(self, h: float) -> int:
-        if h not in self._counts:
-            self._counts[h] = count_modes(_kde_at(self.x, h))
-        return self._counts[h]
-
-
 def _check_solvable(x: np.ndarray, k: int) -> np.ndarray:
     """Check ``k`` and the size and scale of a validated, sorted sample."""
     if x.size < 3:
@@ -108,52 +92,56 @@ def _check_solvable(x: np.ndarray, k: int) -> np.ndarray:
     return x
 
 
-def _bracket(counter: _ModeCounter, h0: float, max_modes: int):
-    """Find [h_lo, h_hi] with count(h_lo) > max_modes >= count(h_hi).
+def _search(x: np.ndarray, k: int, known: dict[float, bool] | None = None):
+    """The critical bandwidth search on a validated, sorted sample, as a generator.
 
-    Returns (h_lo, h_hi, failed_at) where ``failed_at`` is None on
-    success, "floor" when the count never exceeded the target down to
-    the floor, and "cap" when it never dropped to the target below the
-    cap.
+    It yields each bandwidth whose mode count it needs and is sent back
+    whether that count is at most ``k - 1``; it returns the
+    :class:`CritBandResult`. Each bandwidth is asked for once, and
+    ``iterations`` counts distinct bandwidths. ``known`` holds answers the
+    caller already has, keyed by bandwidth; they count as evaluations.
     """
-    x = counter.x
-    if counter(h0) <= max_modes:
-        h_hi = h0
-        h_lo = h0 / BRACKET_GROWTH
-        while counter(h_lo) <= max_modes:
+    answers = dict(known or {})
+
+    def at_most(h):
+        if h not in answers:
+            answers[h] = yield h
+        return answers[h]
+
+    def result(h_crit, success: bool) -> CritBandResult:
+        return CritBandResult(h_crit=h_crit, success=success, k=k, iterations=len(answers))
+
+    # bracket the transition: more than k - 1 modes at h_lo, at most k - 1 at h_hi
+    h0 = _silverman_bandwidth(x)
+    if (yield from at_most(h0)):
+        h_hi, h_lo = h0, h0 / BRACKET_GROWTH
+        while (yield from at_most(h_lo)):
             h_hi = h_lo
             h_lo /= BRACKET_GROWTH
             if h_lo < _BRACKET_FLOOR_RATIO * h0:
-                return h_lo, h_hi, "floor"
-        return h_lo, h_hi, None
-    h_lo = h0
-    cap = _BRACKET_CAP_RANGES * (x[-1] - x[0])
-    h_hi = min(h0 * BRACKET_GROWTH, cap)
-    while counter(h_hi) > max_modes:
-        if h_hi >= cap:
-            return h_lo, h_hi, "cap"
-        h_lo = h_hi
-        h_hi = min(h_hi * BRACKET_GROWTH, cap)
-    return h_lo, h_hi, None
-
-
-def _bisect(counter: _ModeCounter, h_lo: float, h_hi: float, max_modes: int) -> tuple[float, bool]:
-    """Shrink the bracket until (h_hi - h_lo) / h_hi < REL_TOL; give up after
-    ``MAX_ITER`` evaluations or once it is two adjacent floats."""
+                # target count never exceeded: the infimum lies below the floor
+                return result(h_lo, False)
+    else:
+        cap = _BRACKET_CAP_RANGES * (x[-1] - x[0])
+        h_lo, h_hi = h0, min(h0 * BRACKET_GROWTH, cap)
+        while not (yield from at_most(h_hi)):
+            if h_hi >= cap:
+                return result(h_hi, False)
+            h_lo = h_hi
+            h_hi = min(h_hi * BRACKET_GROWTH, cap)
+    # bisect until (h_hi - h_lo) / h_hi < REL_TOL; give up after MAX_ITER
+    # evaluations or once the bracket is two adjacent floats
     while (h_hi - h_lo) / h_hi >= REL_TOL:
         mid = 0.5 * (h_lo + h_hi)
-        if counter.evals >= MAX_ITER or not h_lo < mid < h_hi:
-            return h_hi, False
-        if counter(mid) <= max_modes:
+        if len(answers) >= MAX_ITER or not h_lo < mid < h_hi:
+            return result(h_hi, False)
+        if (yield from at_most(mid)):
             h_hi = mid
         else:
             h_lo = mid
-    return h_hi, True
-
-
-def _verify_transition(counter: _ModeCounter, h: float, max_modes: int) -> bool:
-    below = h * (1.0 - 10.0 * REL_TOL)
-    return counter(h) <= max_modes and counter(below) > max_modes
+    # verify the transition on both sides of the answer
+    below = h_hi * (1.0 - 10.0 * REL_TOL)
+    return result(h_hi, (yield from at_most(h_hi)) and not (yield from at_most(below)))
 
 
 def critical_bandwidth(x, k: int = 2) -> CritBandResult:
@@ -171,18 +159,14 @@ def critical_bandwidth(x, k: int = 2) -> CritBandResult:
 def _solve(x: np.ndarray, k: int, counts: dict[float, int] | None = None) -> CritBandResult:
     """:func:`critical_bandwidth` of a validated, sorted sample; ``counts``
     holds mode counts the caller already took on ``x``, keyed by bandwidth."""
-    counter = _ModeCounter(x, counts)
-    max_modes = k - 1
-    h0 = _silverman_bandwidth(x)
-    h_lo, h_hi, failed_at = _bracket(counter, h0, max_modes)
-    if failed_at == "floor":
-        # target count never exceeded: the infimum lies below the floor
-        return CritBandResult(h_crit=h_lo, success=False, k=k, iterations=counter.evals)
-    if failed_at == "cap":
-        return CritBandResult(h_crit=h_hi, success=False, k=k, iterations=counter.evals)
-    h_crit, converged = _bisect(counter, h_lo, h_hi, max_modes)
-    success = converged and _verify_transition(counter, h_crit, max_modes)
-    return CritBandResult(h_crit=h_crit, success=success, k=k, iterations=counter.evals)
+    search = _search(x, k, {h: c <= k - 1 for h, c in (counts or {}).items()})
+    answer = None
+    while True:
+        try:
+            h = search.send(answer)
+        except StopIteration as done:
+            return done.value
+        answer = count_modes(_kde_at(x, h)) <= k - 1
 
 
 def critical_bandwidth_ci(x, k: int = 2, resamples: int | None = None,
@@ -190,9 +174,11 @@ def critical_bandwidth_ci(x, k: int = 2, resamples: int | None = None,
     """Point estimate plus a percentile bootstrap interval for ``h_crit``.
 
     Each replicate resamples the data with replacement (sub-seeded from
-    ``(seed, replicate index)``) and re-runs the search. Replicates whose
-    solve does not verify, or that draw one value only, are excluded and
-    counted in ``ci_failures``; more than half failing raises
+    ``(seed, replicate index)``) and re-runs the search; the searches run
+    in lockstep blocks, with the answers of one solve per replicate
+    whatever the block size. Replicates whose solve does not verify, or
+    that draw one value only, are excluded and counted in
+    ``ci_failures``; more than half failing raises
     :class:`CIUnreliableError`. The 95% interval is widened, if needed, to
     contain the point estimate.
     """
@@ -213,16 +199,9 @@ def _bootstrap(x: np.ndarray, point: CritBandResult, resamples: int, seed: int) 
     of :func:`critical_bandwidth_ci` from ``resamples`` replicates."""
     if resamples < 99:
         raise ValidationError(f"resamples: must be >= 99, got {resamples}")
-    values = []
-    failures = 0
-    for i in range(resamples):
-        y = resample_with_replacement(x, derive_seed(seed, "ci", i))
-        # a replicate that drew a single value has no scale to solve on
-        r = _solve(y, point.k) if y[0] != y[-1] else None
-        if r is not None and r.success:
-            values.append(r.h_crit)
-        else:
-            failures += 1
+    solved = _solve_replicates(x, point.k, resamples, seed)
+    values = [r.h_crit for r in solved if r is not None and r.success]
+    failures = resamples - len(values)
     if len(values) < 0.5 * resamples:
         raise CIUnreliableError(
             f"bootstrap interval unreliable: {failures} of {resamples} replicates failed",
@@ -240,3 +219,38 @@ def _bootstrap(x: np.ndarray, point: CritBandResult, resamples: int, seed: int) 
         ci_method="percentile",
         ci_failures=failures,
     )
+
+
+def _solve_replicates(x: np.ndarray, k: int, resamples: int, seed: int) -> list[CritBandResult | None]:
+    """The solve of each bootstrap replicate of ``x``, in replicate order;
+    None for a replicate that drew a single value, which has no scale.
+
+    Replicate ``i`` resamples ``x`` with ``derive_seed(seed, "ci", i)``. The
+    searches of a block's worth of replicates run in lockstep: each step
+    evaluates every live search at its own pending bandwidth in one
+    ``_kde_rows_at`` block, sends each its row's answer, and starts the
+    next replicate in the slot of each search that finished. Each search
+    sees the answers a one-at-a-time solve would, so its result is the same.
+    """
+    results: list[CritBandResult | None] = [None] * resamples
+    live = []  # [replicate index, sorted sample, search, pending bandwidth]
+    width = _block_rows(x.size + _grid_size(x.size))
+    i = 0  # the next replicate to start
+    while True:
+        while len(live) < width and i < resamples:
+            y = resample_with_replacement(x, derive_seed(seed, "ci", i))
+            if y[0] != y[-1]:
+                search = _search(y, k)
+                live.append([i, y, search, next(search)])
+            i += 1
+        if not live:
+            return results
+        density = _kde_rows_at(np.array([slot[1] for slot in live]), [slot[3] for slot in live])
+        running = []
+        for slot, answer in zip(live, _at_most_modes(density, k - 1).tolist()):
+            try:
+                slot[3] = slot[2].send(answer)
+                running.append(slot)
+            except StopIteration as done:
+                results[slot[0]] = done.value
+        live = running

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TestInconclusiveError, ValidationError
-from .kde import _check_size, _grid_size, _kde_at, _kde_rows_at, _silverman_bandwidth, as_sample
-from .modes import _candidate_counts, _mode_runs
+from .kde import _blocks, _check_size, _grid_size, _kde_at, _kde_rows_at, _silverman_bandwidth, as_sample
+from .modes import _at_most_modes
 from .rng import random_open01, standard_normals, substream
 from .solver import _check_solvable, _solve
 
@@ -38,12 +38,6 @@ __all__ = [
 
 # Number of uniformly spaced thresholds for the excess-mass ladder.
 EXCESS_MASS_LEVELS = 200
-
-# Monte Carlo replicates are drawn and evaluated in blocks of rows holding
-# about this many values: rows x (n + grid points) in the Silverman test
-# (10 rows at n = 400, one from n = 4 001 up), rows x n in the dip test.
-# Larger blocks share more transforms but raise the peak memory.
-_BLOCK_VALUES = 12_000
 
 # A null row skips the dip walk when its Kolmogorov-Smirnov distance to the
 # uniform, enlarged by this relative margin for rounding, is below the dip.
@@ -95,8 +89,8 @@ def silverman_test(x, mod0: int = 1, resamples: int = 999, seed: int = 0) -> Tes
     draws from its own substream ``(seed, "silverman", i)`` with the same
     arithmetic, and its density on its own default grid is bit for bit
     the one ``kde_fft`` gives, so the p-value does not depend on the
-    block size. Only rows with more than ``mod0`` candidate maxima (an
-    upper bound on the mode count) have their modes counted exactly.
+    block size. The whole block's mode counts are compared with ``mod0``
+    at once, with the exact answer of a row-by-row count.
     """
     return _silverman_test(as_sample(x, min_size=10), mod0, resamples, seed)
 
@@ -129,11 +123,7 @@ def _silverman_test(x: np.ndarray, mod0: int, resamples: int, seed: int) -> Test
             noise[row] = standard_normals(rng, n)
         y = center + (x[idx] + h * noise - center) * shrink
         y.sort(axis=1)
-        density = _kde_rows_at(y, h)
-        # the candidate count bounds the mode count from above
-        for row in np.flatnonzero(_candidate_counts(density) > mod0):
-            if _mode_runs(density[row])[0].size > mod0:
-                exceed += 1
+        exceed += int(np.count_nonzero(~_at_most_modes(_kde_rows_at(y, h), mod0)))
     p = (1.0 + exceed) / (resamples + 1.0)
     return TestResult(statistic=h, p_value=p, resamples=resamples,
                       method="silverman", h_crit=h)
@@ -303,12 +293,6 @@ def _dip_test(x: np.ndarray, resamples: int, seed: int) -> TestResult:
                 exceed += 1
     p = (1.0 + exceed) / (resamples + 1.0)
     return TestResult(statistic=d, p_value=p, resamples=resamples, method="dip")
-
-
-def _blocks(resamples: int, values_per_row: int) -> list[range]:
-    """Replicate indices 0 .. resamples - 1, split into blocks of about _BLOCK_VALUES values."""
-    rows = max(1, _BLOCK_VALUES // values_per_row)
-    return [range(i, min(i + rows, resamples)) for i in range(0, resamples, rows)]
 
 
 def _ks_to_uniform(u: np.ndarray) -> np.ndarray:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import modality.kde as kde_mod
-import modality.stattests as stattests_mod
 from modality import MixtureSpec, sample_mixture
 
 WELL_SEPARATED = MixtureSpec(((0.5, -2.0, 0.3), (0.5, 2.0, 0.3)), 400)
@@ -46,8 +45,12 @@ def normal_500():
 
 @pytest.fixture
 def kde_bandwidths(monkeypatch):
-    """The bandwidth of every KDE evaluation made while the test runs,
-    one entry per row of a block that a Monte Carlo test evaluates at once."""
+    """The bandwidth of every KDE evaluation made while the test runs, one
+    entry per row of a block evaluated at once, at that row's bandwidth.
+
+    Modules import the block evaluation by name, so the recorder is bound
+    in every ``modality.*`` namespace that holds it.
+    """
     seen = []
     engine = kde_mod.kde_fft
     block_engine = kde_mod._kde_rows_at
@@ -57,12 +60,13 @@ def kde_bandwidths(monkeypatch):
         return engine(x, grid, h)
 
     def recording_rows(rows, h):
-        seen.extend([h] * rows.shape[0])
+        seen.extend(np.broadcast_to(h, rows.shape[:1]).tolist())
         return block_engine(rows, h)
 
     monkeypatch.setattr(kde_mod, "kde_fft", recording)
-    # stattests imports the block evaluation by name
-    monkeypatch.setattr(stattests_mod, "_kde_rows_at", recording_rows)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "modality" and getattr(module, "_kde_rows_at", None) is block_engine:
+            monkeypatch.setattr(module, "_kde_rows_at", recording_rows)
     return seen
 
 

@@ -193,6 +193,15 @@ def test_test_output_matches_golden_file(method, capsys, monkeypatch):
     assert capsys.readouterr().out.encode() == (data / f"well_separated_n400_{method}.json").read_bytes()
 
 
+def test_analyze_ci_output_matches_golden_file(capsys, monkeypatch):
+    # the golden file is this command's stdout, run from the repository root
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    data = Path("tests") / "data"
+    argv = ["analyze", str(data / "well_separated_n400.csv"), "--format", "json", "--ci", "--resamples", "99"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (data / "well_separated_n400_analyze_ci.json").read_bytes()
+
+
 def test_analyze_output_matches_golden_file_in_every_format(tmp_path, capsys, monkeypatch):
     # the golden file is the CSV's stdout, run from the repository root
     monkeypatch.chdir(Path(__file__).resolve().parents[1])

@@ -243,9 +243,14 @@ def test_block_densities_equal_kde_fft(sample, h, request):
         np.sort(scale * x[rng.integers(0, x.size, x.size)] + h * rng.standard_normal(x.size))
         for scale in (0.1, 1.0, 10.0, 100.0, 1000.0) for _ in range(2)
     ])
-    grids = [_default_grid(row, h) for row in block]
-    steps = [h / grid.spacing for grid in grids]
-    assert min(steps) < 3.0 <= max(steps)
-    assert len({next_fast_len(grid.size + int(np.ceil(6.0 * r))) for grid, r in zip(grids, steps)}) > 1
-    for row, grid, density in zip(block, grids, _kde_rows_at(block, h)):
-        assert np.array_equal(density, kde_fft(row, grid, h).density)
+    # one bandwidth for the block, then one per row as the bootstrap interval
+    # uses, the widest on the narrowest row
+    per_row = h * np.geomspace(20.0, 0.05, len(block))
+    for bandwidths, hs in ((h, [h] * len(block)), (per_row, per_row)):
+        grids = [_default_grid(row, h_row) for row, h_row in zip(block, hs)]
+        steps = [h_row / grid.spacing for grid, h_row in zip(grids, hs)]
+        assert min(steps) < 3.0 <= max(steps)
+        assert len({next_fast_len(grid.size + int(np.ceil(6.0 * r))) for grid, r in zip(grids, steps)}) > 1
+        densities = _kde_rows_at(block, bandwidths)
+        for row, grid, h_row, density in zip(block, grids, hs, densities):
+            assert np.array_equal(density, kde_fft(row, grid, h_row).density)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modality import (
@@ -16,11 +16,12 @@ from modality import (
     silverman_bandwidth,
 )
 from modality.benchmark import CASES
+from modality.kde import _kde_rows_at
 from modality.modes import (
     PROMINENCE_DEPTH_RATIO,
     PROMINENCE_GLOBAL_RATIO,
     PROMINENCE_RATIO,
-    _candidate_counts,
+    _at_most_modes,
     _mode_runs,
 )
 from tests.conftest import EXTREME_SEPARATION, UNEQUAL_WEIGHTS
@@ -212,15 +213,34 @@ def test_mode_scan_matches_run_compression_on_tied_values(values):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(
-    st.one_of(st.integers(0, 3), st.integers(0, 1000), st.integers(990, 1000)), min_size=2, max_size=80,
+    st.one_of(st.integers(0, 3), st.integers(0, 1000), st.integers(990, 1000),
+              # deep and shallow saddles in one curve: some pairs merge, others stand
+              st.sampled_from([0, 500, 996, 1000])),
+    min_size=2, max_size=80,
 ))
-def test_candidate_count_bounds_the_mode_count(values):
-    # the screen in silverman_test may only skip rows that have at most its bound of modes
+@example([0, 1000, 0, 1000, 0, 1000, 999, 1000, 0])  # 4 candidates, 3 modes
+def test_at_most_modes_equals_the_exact_count(values):
+    # the block count must give each row's own _mode_runs answer, plateaus and shallow pairs included
     density = np.asarray(values, dtype=float)
-    block = np.stack([density, density[::-1]])
-    bounds = _candidate_counts(block)
-    assert bounds[0] >= _mode_runs(density)[0].size
-    assert bounds[1] >= _mode_runs(density[::-1].copy())[0].size
+    block = np.stack([density, density[::-1], np.round(density, -1)])
+    for m in (1, 2, 3):
+        want = [_mode_runs(row.copy())[0].size <= m for row in block]
+        assert _at_most_modes(block, m).tolist() == want
+
+
+def test_at_most_modes_equals_the_exact_count_on_bootstrap_blocks():
+    # blocks as the interval and the Silverman test evaluate them: resampled
+    # rows, each at its own bandwidth, across and below the transitions
+    rng = np.random.default_rng(9)
+    for case in CASES:
+        x = sample_mixture(case.spec, 0)
+        rows = np.sort(x[rng.integers(0, x.size, (12, x.size))], axis=1)
+        for scale in np.geomspace(0.05, 3.0, 12):
+            hs = scale * silverman_bandwidth(x) * np.geomspace(0.5, 2.0, rows.shape[0])
+            block = _kde_rows_at(rows, hs)
+            for m in (1, 2, 3):
+                want = [_mode_runs(row)[0].size <= m for row in block]
+                assert _at_most_modes(block, m).tolist() == want
 
 
 def test_mode_scan_matches_run_compression_on_table2_curves():

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modality import count_modes, default_grid, dip_statistic, kde_fft
+from modality.kde import _kde_rows_at
 from modality.stattests import _KS_SCREEN_MARGIN, _dip_of_sorted, _ks_to_uniform
 
 # integer samples, n in [2, 60]: a narrow value range forces heavy ties
@@ -78,3 +79,19 @@ def test_dip_never_exceeds_the_ks_distance_to_the_uniform(values):
     by the screen's margin, is below the observed dip."""
     u = np.sort(np.asarray(values))
     assert _dip_of_sorted(u) <= _ks_to_uniform(u) * (1.0 + _KS_SCREEN_MARGIN)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 40).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-1000, 1000), min_size=n, max_size=n), min_size=1, max_size=6)),
+    st.lists(st.floats(-3.0, 2.0).map(lambda e: 10.0**e), min_size=6, max_size=6),
+)
+def test_block_rows_at_their_own_bandwidths_equal_kde_fft(rows, bandwidths):
+    """Each row of a block, at its own bandwidth, is bit for bit its one-row
+    ``kde_fft``, whatever the other rows and their padded lengths."""
+    block = np.sort(np.asarray(rows, dtype=float), axis=1)
+    assume(all(row[0] < row[-1] for row in block))
+    hs = np.asarray(bandwidths[: len(block)]) * (block[:, -1] - block[:, 0])
+    for row, h, density in zip(block, hs, _kde_rows_at(block, hs)):
+        assert np.array_equal(density, kde_fft(row, default_grid(row, h), h).density)

@@ -241,3 +241,41 @@ def test_solver_pinned_answers(well_separated, trimodal):
     assert (t.statistic, t.p_value, t.resamples, t.method, t.h_crit) == (
         1.859712486892561, 0.005, 199, "silverman", 1.859712486892561)
     assert bimodality_strength(well_separated).ratio == 2.8864746093750004
+
+
+def test_ci_pinned_answers(trimodal):
+    # recorded before the replicates were solved in lockstep; compared with ==
+    unequal = sample_mixture(UNEQUAL_WEIGHTS, 0)
+    tied = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]  # about one replicate in 32 is constant
+    expected = [
+        (trimodal, 3, CritBandResult(
+            h_crit=1.3593049970178006, success=True, k=3, iterations=16,
+            ci_low=1.2221314308138804, ci_high=1.4297449737908827,
+            std_error=0.05384630893348081, ci_method="percentile", ci_failures=0)),
+        (unequal, 2, CritBandResult(
+            h_crit=1.2716878701193162, success=True, k=2, iterations=20,
+            ci_low=1.2150312054392418, ci_high=1.314185294187959,
+            std_error=0.026229080953040173, ci_method="percentile", ci_failures=0)),
+        (tied, 2, CritBandResult(
+            h_crit=0.4745476235308722, success=True, k=2, iterations=17,
+            ci_low=0.3194123134573369, ci_high=0.4745476235308722,
+            std_error=0.05320962953447027, ci_method="percentile", ci_failures=5)),
+    ]
+    for x, k, answer in expected:
+        assert critical_bandwidth_ci(x, k=k, resamples=99, seed=0) == answer
+
+
+def test_ci_evaluates_each_replicate_bandwidth_once(well_separated, kde_bandwidths):
+    # the lockstep interval evaluates exactly the bandwidths that solving
+    # each replicate on its own evaluates, each once per replicate
+    seen = kde_bandwidths
+    point = critical_bandwidth_ci(well_separated, k=2, resamples=99, seed=1)
+    rows = seen[point.iterations:]
+    reference = []
+    for i in range(99):
+        seen.clear()
+        r = critical_bandwidth(resample_with_replacement(well_separated, derive_seed(1, "ci", i)), k=2)
+        assert len(seen) == len(set(seen)) == r.iterations
+        reference += seen
+    assert len(rows) == len(reference)
+    assert sorted(rows) == sorted(reference)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import modality.kde as kde_mod
 import modality.stattests as stattests_mod
 from modality import (
     ValidationError,
     critical_bandwidth,
+    critical_bandwidth_ci,
     dip_statistic,
     dip_test,
     excess_mass,
@@ -270,7 +272,8 @@ def test_silverman_test_evaluates_each_replicate_once(well_separated, kde_bandwi
 
 def _monte_carlo_answers(samples):
     return [
-        (silverman_test(x, resamples=199, seed=2), dip_test(x, resamples=199, seed=2))
+        (silverman_test(x, resamples=199, seed=2), dip_test(x, resamples=199, seed=2),
+         critical_bandwidth_ci(x, resamples=99, seed=2))
         for x in samples
     ]
 
@@ -279,12 +282,13 @@ def _monte_carlo_answers(samples):
 def test_monte_carlo_tests_do_not_depend_on_the_block_size(
     block_values, blocks, well_separated, normal_500, monkeypatch
 ):
-    # the same seed gives the same numbers with one replicate per block
-    # and with every replicate in one block
+    # the same seed gives the same numbers with one replicate per block, or
+    # one interval replicate in flight, and with every replicate in one block
     samples = (well_separated, normal_500)
     expected = _monte_carlo_answers(samples)
-    monkeypatch.setattr(stattests_mod, "_BLOCK_VALUES", block_values)
-    assert len(stattests_mod._blocks(199, well_separated.size + 800)) == blocks
+    monkeypatch.setattr(kde_mod, "_BLOCK_VALUES", block_values)
+    assert len(kde_mod._blocks(199, well_separated.size + 800)) == blocks
+    assert (kde_mod._block_rows(well_separated.size + 800) >= 99) == (blocks == 1)
     assert _monte_carlo_answers(samples) == expected
 
 
