@@ -90,7 +90,7 @@ def _coerce_column(name: str, numeric: list[float], dropped: int, origin: str) -
 
 
 def _rows_to_table(rows: list[list[str]], origin: str) -> Table:
-    rows = [r for r in rows if any(cell.strip() != "" for cell in r)]
+    rows = [r for r in rows if any(map(str.strip, r))]
     if not rows:
         raise DataFormatError(f"{origin}: no data rows")
     head = [c.strip() for c in rows[0]]
@@ -99,12 +99,7 @@ def _rows_to_table(rows: list[list[str]], origin: str) -> Table:
         data = rows
     else:
         names, data = head, rows[1:]
-    width = len(names)
-    columns = {n: [] for n in names}
-    for r in data:
-        r = list(r) + [""] * (width - len(r))
-        for n, cell in zip(names, r):
-            columns[n].append(cell)
+    columns = {n: [r[i] if i < len(r) else "" for r in data] for i, n in enumerate(names)}
     return Table(column_names=tuple(names), columns=columns)
 
 
@@ -114,7 +109,7 @@ def _read_delimited(path: Path, delimiter: str) -> Table:
             reader = csv.reader(f)
         else:
             reader = csv.reader(f, delimiter=delimiter, quoting=csv.QUOTE_NONE)
-        rows = [list(r) for r in reader]
+        rows = list(reader)
     return _rows_to_table(rows, path.name)
 
 

@@ -1,16 +1,15 @@
 """Mode and trough detection on evaluated density curves.
 
-A mode is an interior strict local maximum after three cleanups: runs of
-exactly tied values (plateaus, typically FFT roundoff) merge into a
-single candidate at the plateau midpoint; candidates below a small
-fraction of the global peak are dropped as floating-point micro-modes;
-and adjacent candidates separated by a saddle almost as high as the
-shorter of them agglomerate into one (see ``_merge_shallow_pairs``).
-Grid endpoints are never modes; a maximum at the boundary is an artifact
-of grid truncation.
-
-All thresholds are module constants so calibration sweeps can revisit
-them in one place.
+A mode is an interior strict local maximum of the curve, located at the
+midpoint of its run of tied values (a plateau, typically FFT roundoff);
+grid endpoints are never modes, since a maximum there is an artifact of
+grid truncation. Candidates under PROMINENCE_RATIO (1e-6) of the tallest
+value are dropped as floating-point micro-modes. Adjacent peaks then
+merge, shallowest first, while the valley between them is shallower than
+PROMINENCE_DEPTH_RATIO (0.8%) of the shorter peak or
+PROMINENCE_GLOBAL_RATIO (0.2%) of the tallest (``_shallow``, applied by
+``_merge_shallow_pairs``). The thresholds are module constants so that
+calibration sweeps can revisit them in one place.
 """
 
 from __future__ import annotations
@@ -79,37 +78,44 @@ def _value_runs(density: np.ndarray):
     return starts, ends, density[starts]
 
 
-def _merge_shallow_pairs(density: np.ndarray, starts, ends, peak: float) -> list[int]:
+def _shallow(shorter, saddle, peak):
+    """Whether adjacent peaks, the shorter one ``shorter`` high, have merged
+    over ``saddle`` when the tallest value is ``peak``; elementwise."""
+    depth = shorter - saddle
+    return (depth < PROMINENCE_DEPTH_RATIO * shorter) | (depth < PROMINENCE_GLOBAL_RATIO * peak)
+
+
+def _saddles(curve: np.ndarray, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    """The minimum of ``curve`` strictly between ``lefts[i]`` and ``rights[i] > lefts[i] + 1``."""
+    bounds = np.empty(2 * lefts.size, dtype=np.intp)
+    bounds[0::2], bounds[1::2] = lefts + 1, rights
+    return np.minimum.reduceat(curve, bounds)[0::2]
+
+
+def _merge_shallow_pairs(heights: np.ndarray, saddles: np.ndarray, peak: float) -> list[int]:
     """Agglomerate candidates whose shared saddle is too shallow.
 
-    Candidate ``i`` is the maximum run ``density[starts[i] : ends[i] + 1]``.
-    For each adjacent candidate pair, the saddle is the minimum density
-    between their runs; the pair has effectively merged when the shorter
-    peak rises above that saddle by less than PROMINENCE_DEPTH_RATIO of
-    its own height, or less than PROMINENCE_GLOBAL_RATIO of the global
-    peak. The shallowest qualifying pair merges first (the shorter member
-    is absorbed; on exact ties the right one), and saddles are recomputed
-    until every remaining pair stands on its own. Returns the indices of
-    the surviving candidates.
+    ``heights`` are the candidates' heights left to right and ``saddles[i]``
+    the lowest value between candidates ``i`` and ``i + 1``. The shallow
+    pair by ``_shallow`` whose shorter peak rises least above its saddle,
+    relative to its height, merges first, the leftmost on ties; its shorter
+    member is absorbed, the right one on exact ties. An absorbed candidate
+    stands above both its saddles, so the pair it joins takes the lower of
+    them. Returns the indices of the survivors once no pair is shallow.
     """
-    keep = list(range(len(starts)))
+    keep = list(range(heights.size))
+    heights = heights.tolist()
+    saddles = [np.inf, *saddles.tolist(), np.inf]  # candidate j stands between saddles j and j + 1
     while len(keep) > 1:
-        depths = []
-        for a, b in zip(keep, keep[1:]):
-            saddle = density[ends[a] + 1 : starts[b]].min()
-            left_h, right_h = density[starts[a]], density[starts[b]]
-            shorter = min(left_h, right_h)
-            depths.append((left_h, right_h, shorter - saddle, shorter))
-        qualifying = [
-            (depth / shorter, i)
-            for i, (_, _, depth, shorter) in enumerate(depths)
-            if depth < PROMINENCE_DEPTH_RATIO * shorter or depth < PROMINENCE_GLOBAL_RATIO * peak
-        ]
-        if not qualifying:
-            return keep
-        _, i = min(qualifying)
-        left_h, right_h = depths[i][0], depths[i][1]
-        keep.pop(i + 1 if right_h <= left_h else i)
+        pairs = zip(map(min, heights, heights[1:]), saddles[1:-1])  # (shorter, saddle)
+        shallow = [((shorter - saddle) / shorter, i)
+                   for i, (shorter, saddle) in enumerate(pairs) if _shallow(shorter, saddle, peak)]
+        if not shallow:
+            break
+        _, i = min(shallow)
+        j = i + 1 if heights[i + 1] <= heights[i] else i
+        del keep[j], heights[j]
+        saddles[j : j + 2] = [min(saddles[j], saddles[j + 1])]
     return keep
 
 
@@ -135,11 +141,11 @@ def _mode_runs(density: np.ndarray):
         falls = diffs[ends] < 0.0
         starts, ends = starts[falls], ends[falls]
     heights = density[starts]
-    peak = density.max()
+    peak = float(density.max())  # a Python float keeps the merge loop's scalar tests cheap
     prominent = heights >= PROMINENCE_RATIO * peak
     starts, ends, heights = starts[prominent], ends[prominent], heights[prominent]
     if starts.size > 1:
-        keep = _merge_shallow_pairs(density, starts, ends, peak)
+        keep = _merge_shallow_pairs(heights, _saddles(density, ends[:-1], starts[1:]), peak)
         starts, ends, heights = starts[keep], ends[keep], heights[keep]
     return starts, ends, heights
 
@@ -151,41 +157,34 @@ def _at_most_modes(density: np.ndarray, m: int) -> np.ndarray:
     whole block from the candidates ``_mode_runs`` starts from: the points
     entered by a rise and not left by one that reach PROMINENCE_RATIO of
     the row's peak. Later steps only drop or merge candidates, so a row
-    with at most ``m`` of them has at most ``m`` modes. In a row whose
-    candidates are all single points, the saddles of its adjacent pairs
-    are the ones ``_merge_shallow_pairs`` first looks at: with no shallow
-    pair every candidate is a mode, and with ``m + 1`` candidates and a
-    shallow pair one of them merges away. Rows with a plateau candidate,
-    and rows with more candidates and a shallow pair, go to ``_mode_runs``.
+    with at most ``m`` of them has at most ``m`` modes. Rows with a plateau
+    candidate go to ``_mode_runs``; in the others every candidate is a
+    single point, so with no shallow pair each is a mode, and otherwise
+    ``_merge_shallow_pairs`` runs on the row's heights and saddles.
     """
     diffs = density[:, 1:] - density[:, :-1]  # as in _mode_runs
     rising = diffs > 0.0
     peaks = density.max(axis=1)
     candidates = rising[:, :-1] & ~rising[:, 1:]
     candidates &= density[:, 1:-1] >= PROMINENCE_RATIO * peaks[:, None]
-    counts = candidates.sum(axis=1)
-    at_most = counts <= m
+    at_most = candidates.sum(axis=1) <= m
     plateau = (candidates & (diffs[:, 1:] == 0.0)).any(axis=1)
-    exact = np.flatnonzero(~at_most & plateau)
-    open_rows = np.flatnonzero(~at_most & ~plateau)
-    row, col = np.nonzero(candidates[open_rows])
-    pair = np.flatnonzero(row[1:] == row[:-1])  # adjacent candidates of one row
-    if pair.size:
-        curves = density[open_rows].ravel()
-        at = row * density.shape[1] + col + 1  # each candidate's index in curves
-        left, right = at[pair], at[pair + 1]
-        bounds = np.empty(2 * pair.size, dtype=np.intp)
-        bounds[0::2], bounds[1::2] = left + 1, right
-        saddles = np.minimum.reduceat(curves, bounds)[0::2]  # min strictly between the pair
-        shorter = np.minimum(curves[left], curves[right])
-        depth = shorter - saddles
-        shallow = (depth < PROMINENCE_DEPTH_RATIO * shorter) | (
-            depth < PROMINENCE_GLOBAL_RATIO * peaks[open_rows[row[pair]]])
-        merges = np.bincount(row[pair][shallow], minlength=open_rows.size) > 0
-        at_most[open_rows] = merges & (counts[open_rows] == m + 1)
-        exact = np.concatenate((exact, open_rows[merges & (counts[open_rows] > m + 1)]))
-    for i in exact:
+    for i in np.flatnonzero(~at_most & plateau):
         at_most[i] = _mode_runs(density[i])[0].size <= m
+    open_rows = np.flatnonzero(~at_most & ~plateau)
+    peaks = peaks[open_rows]
+    row, col = np.nonzero(candidates[open_rows])
+    at = row * density.shape[1] + col + 1  # each candidate's index in the rows laid end to end
+    curves = density[open_rows].ravel()
+    heights = curves[at]
+    saddles = _saddles(curves, at[:-1], at[1:])  # the one after a row's last candidate is no pair's
+    shallow = (row[1:] == row[:-1]) & _shallow(
+        np.minimum(heights[:-1], heights[1:]), saddles, peaks[row[:-1]])
+    first = np.searchsorted(row, np.arange(open_rows.size + 1))  # row r: first[r]:first[r + 1]
+    for r in np.unique(row[:-1][shallow]):
+        lo, hi = first[r], first[r + 1]
+        keep = _merge_shallow_pairs(heights[lo:hi], saddles[lo : hi - 1], float(peaks[r]))
+        at_most[open_rows[r]] = len(keep) <= m
     return at_most
 
 

@@ -192,6 +192,23 @@ def test_table_rejects_ragged_columns():
         Table(column_names=("a", "b"), columns={"a": ["1"], "b": ["1", "2"]})
 
 
+def test_ragged_rows_pad_short_and_ignore_extra_cells(tmp_path):
+    # recorded before the column comprehension replaced the per-row loop
+    want = {"a": ["1", "4", "6"], "b": ["2", "5", "7"], "c": ["3", "", "8"]}
+    texts = {
+        "r.csv": "a,b,c\n1,2,3\n4,5\n6,7,8,9\n",
+        "r.md": "| a | b | c |\n|---|---|---|\n| 1 | 2 | 3 |\n| 4 | 5 |\n| 6 | 7 | 8 | 9 |\n",
+    }
+    for name, text in texts.items():
+        table = read_table(_write(tmp_path, name, text))
+        assert table.column_names == ("a", "b", "c")
+        assert table.columns == want
+    table = read_table(_write(tmp_path, "h.csv", "1,2,3\n4,5\n6,7,8,9\n"))
+    assert table.columns == {"col0": want["a"], "col1": want["b"], "col2": want["c"]}
+    table = read_table(_write(tmp_path, "b.tsv", "a\tb\n1\t2\n \t \n\t\n3\n"))  # blank rows dropped
+    assert table.columns == {"a": ["1", "3"], "b": ["2", ""]}
+
+
 def test_read_table_missing_file(tmp_path):
     with pytest.raises(DataFormatError, match="not found"):
         read_table(tmp_path / "nope.csv")

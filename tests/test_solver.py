@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +177,19 @@ def test_large_sample_default_resamples_warns(monkeypatch):
     x = sample_mixture(MixtureSpec(((0.5, -2.0, 0.3), (0.5, 2.0, 0.3)), 5001), 0)
     with pytest.warns(UserWarning, match="resamples"):
         critical_bandwidth_ci(x, k=2, seed=0)
+
+
+def test_large_sample_warning_only_without_resamples(monkeypatch):
+    # the point solve runs, the replicates do not
+    monkeypatch.setattr(solver, "_bootstrap", lambda x, point, resamples, seed: point)
+    spec = ((0.5, -2.0, 0.3), (0.5, 2.0, 0.3))
+    x = sample_mixture(MixtureSpec(spec, 5001), 0)
+    with pytest.warns(UserWarning, match="pass resamples explicitly"):
+        critical_bandwidth_ci(x, k=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        critical_bandwidth_ci(x, k=2, resamples=99)
+        critical_bandwidth_ci(sample_mixture(MixtureSpec(spec, 5000), 0), k=2)
 
 
 def test_random_mixture_transitions():
