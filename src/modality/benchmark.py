@@ -21,7 +21,7 @@ import numpy as np
 from .kde import _kde_at, _silverman_bandwidth, as_sample
 from .modes import count_modes
 from .rng import MixtureSpec, sample_mixture
-from .solver import _check_solvable, _solve, critical_bandwidth
+from .solver import _check_solvable, _solve_each, critical_bandwidth
 
 __all__ = [
     "BenchmarkCase",
@@ -120,19 +120,16 @@ def _status(case: BenchmarkCase, mean: float, cv: float, modes: int) -> str:
 
 
 def run_case(case: BenchmarkCase, seeds=DEFAULT_SEEDS) -> BenchmarkRow:
-    values, counts = [], []
-    failures = 0
+    problems, counts = [], []
     for seed in seeds:
         x = _check_solvable(as_sample(sample_mixture(case.spec, seed), min_size=3), case.k)
         # the mode count at h0 is also the solve's first evaluation
         h0 = _silverman_bandwidth(x)
         counts.append(count_modes(_kde_at(x, h0)))
-        result = _solve(x, case.k, counts={h0: counts[-1]})
-        if result.success:
-            values.append(result.h_crit)
-        else:
-            values.append(float("nan"))
-            failures += 1
+        problems.append((x, {h0: counts[-1]}))
+    results = _solve_each(problems, case.k)
+    values = [r.h_crit if r.success else float("nan") for r in results]
+    failures = sum(not r.success for r in results)
     good = np.array([v for v in values if not math.isnan(v)])
     mean = float(good.mean()) if good.size else float("nan")
     std = float(good.std(ddof=1)) if good.size > 1 else float("nan")

@@ -5,9 +5,10 @@ it linear-bins the sample onto the grid and convolves with the Gaussian
 kernel by FFT in O(n + g log g) (binned KDE, Silverman 1982, AS 176;
 Wand 1994). The kernel's transform is the Gaussian's closed form, so an
 evaluation costs two transforms, one of the bin counts and one back.
-Monte Carlo tests and the bootstrap interval evaluate a block of
-replicates at once with the same arithmetic (``_kde_rows_at``), each row
-at its own bandwidth and bit for bit its ``kde_fft``.
+The Monte Carlo tests evaluate a block of replicates at once with the
+same arithmetic (``_kde_rows_at``), each row at its own bandwidth and bit
+for bit its ``kde_fft``, and so do the solver's lockstep steps (interval
+replicates, table2 seeds); a step with one live search calls ``kde_fft``.
 ``kde_direct`` is the exact O(n*g) direct sum, kept as the oracle the
 engine is tested against.
 """

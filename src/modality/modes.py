@@ -98,10 +98,10 @@ def _merge_shallow_pairs(heights: np.ndarray, saddles: np.ndarray, peak: float) 
     ``heights`` are the candidates' heights left to right and ``saddles[i]``
     the lowest value between candidates ``i`` and ``i + 1``. The shallow
     pair by ``_shallow`` whose shorter peak rises least above its saddle,
-    relative to its height, merges first, the leftmost on ties; its shorter
-    member is absorbed, the right one on exact ties. An absorbed candidate
-    stands above both its saddles, so the pair it joins takes the lower of
-    them. Returns the indices of the survivors once no pair is shallow.
+    relative to its height, merges first; its shorter member is absorbed,
+    the right one on exact ties. An absorbed candidate stands above both
+    its saddles, so the pair it joins takes the lower of them. Returns the
+    indices of the survivors once no pair is shallow.
     """
     keep = list(range(heights.size))
     heights = heights.tolist()

@@ -11,13 +11,13 @@ rule-of-thumb bandwidth in steps of ``BRACKET_GROWTH``, bisects it to
 ``REL_TOL``, then verifies the count on both sides of the answer. It is
 one generator, ``_search``, which yields each bandwidth it needs and is
 sent whether the estimate there has at most ``k - 1`` modes; it asks for
-each bandwidth once, and ``iterations`` counts distinct bandwidths. Two
-callers answer it with the same KDE on the sample's default grid:
-``_solve`` one evaluation at a time (``kde_fft``), and the bootstrap
-interval a block of replicate searches in lockstep, one ``_kde_rows_at``
-row per search and step, so every replicate gets the answer a solve of
-its own would. The public functions validate and sort the sample once;
-the layers below take it as given.
+each bandwidth once, and ``iterations`` counts distinct bandwidths. One
+driver, ``_solve_each``, answers every search on the sample's default
+grid: live searches of one size (the interval's replicates, the seeds of
+``benchmark --suite table2``) step in lockstep, one ``_kde_rows_at`` row
+each, and a lone live search, as in a single solve, uses ``kde_fft``; each
+gets the answers a solve of its own would. The public functions validate
+and sort the sample once; the layers below take it as given.
 """
 
 from __future__ import annotations
@@ -92,16 +92,16 @@ def _check_solvable(x: np.ndarray, k: int) -> np.ndarray:
     return x
 
 
-def _search(x: np.ndarray, k: int, known: dict[float, bool] | None = None):
+def _search(x: np.ndarray, k: int, counts: dict[float, int]):
     """The critical bandwidth search on a validated, sorted sample, as a generator.
 
     It yields each bandwidth whose mode count it needs and is sent back
     whether that count is at most ``k - 1``; it returns the
     :class:`CritBandResult`. Each bandwidth is asked for once, and
-    ``iterations`` counts distinct bandwidths. ``known`` holds answers the
-    caller already has, keyed by bandwidth; they count as evaluations.
+    ``iterations`` counts distinct bandwidths. ``counts`` holds mode counts
+    already taken on ``x``, keyed by bandwidth; they count as evaluations.
     """
-    answers = dict(known or {})
+    answers = {h: c <= k - 1 for h, c in counts.items()}
 
     def at_most(h):
         if h not in answers:
@@ -159,14 +159,45 @@ def critical_bandwidth(x, k: int = 2) -> CritBandResult:
 def _solve(x: np.ndarray, k: int, counts: dict[float, int] | None = None) -> CritBandResult:
     """:func:`critical_bandwidth` of a validated, sorted sample; ``counts``
     holds mode counts the caller already took on ``x``, keyed by bandwidth."""
-    search = _search(x, k, {h: c <= k - 1 for h, c in (counts or {}).items()})
-    answer = None
-    while True:
+    return _solve_each([(x, counts or {})], k)[0]
+
+
+def _solve_each(problems, k: int) -> list[CritBandResult]:
+    """:func:`_solve` of each ``(x, counts)`` in ``problems``, in order; the
+    samples have one size. A block's worth of searches runs in lockstep,
+    refilled from ``problems``: each step evaluates every live search at its
+    pending bandwidth in one ``_kde_rows_at`` block, or by ``kde_fft`` if one
+    is live, and sends each its answer, the one a solve of its own gets.
+    """
+    results: list[CritBandResult | None] = []
+    live = []  # [result index, sample, search, pending bandwidth]
+
+    def advance(slot, answer) -> bool:
         try:
-            h = search.send(answer)
+            slot[3] = slot[2].send(answer)
+            return True
         except StopIteration as done:
-            return done.value
-        answer = count_modes(_kde_at(x, h)) <= k - 1
+            results[slot[0]] = done.value
+            return False
+
+    def step() -> None:
+        if len(live) == 1:
+            answers = [count_modes(_kde_at(live[0][1], live[0][3])) <= k - 1]
+        else:
+            density = _kde_rows_at(np.array([slot[1] for slot in live]), [slot[3] for slot in live])
+            answers = _at_most_modes(density, k - 1).tolist()
+        live[:] = [slot for slot, answer in zip(live, answers) if advance(slot, answer)]
+
+    for x, counts in problems:
+        slot = [len(results), x, _search(x, k, counts), None]
+        results.append(None)
+        if advance(slot, None):
+            live.append(slot)
+        while len(live) >= _block_rows(x.size + _grid_size(x.size)):
+            step()
+    while live:
+        step()
+    return results
 
 
 def critical_bandwidth_ci(x, k: int = 2, resamples: int | None = None,
@@ -199,8 +230,9 @@ def _bootstrap(x: np.ndarray, point: CritBandResult, resamples: int, seed: int) 
     of :func:`critical_bandwidth_ci` from ``resamples`` replicates."""
     if resamples < 99:
         raise ValidationError(f"resamples: must be >= 99, got {resamples}")
-    solved = _solve_replicates(x, point.k, resamples, seed)
-    values = [r.h_crit for r in solved if r is not None and r.success]
+    replicates = (resample_with_replacement(x, derive_seed(seed, "ci", i)) for i in range(resamples))
+    solved = _solve_each(((y, {}) for y in replicates if y[0] != y[-1]), point.k)
+    values = [r.h_crit for r in solved if r.success]
     failures = resamples - len(values)
     if len(values) < 0.5 * resamples:
         raise CIUnreliableError(
@@ -219,38 +251,3 @@ def _bootstrap(x: np.ndarray, point: CritBandResult, resamples: int, seed: int) 
         ci_method="percentile",
         ci_failures=failures,
     )
-
-
-def _solve_replicates(x: np.ndarray, k: int, resamples: int, seed: int) -> list[CritBandResult | None]:
-    """The solve of each bootstrap replicate of ``x``, in replicate order;
-    None for a replicate that drew a single value, which has no scale.
-
-    Replicate ``i`` resamples ``x`` with ``derive_seed(seed, "ci", i)``. The
-    searches of a block's worth of replicates run in lockstep: each step
-    evaluates every live search at its own pending bandwidth in one
-    ``_kde_rows_at`` block, sends each its row's answer, and starts the
-    next replicate in the slot of each search that finished. Each search
-    sees the answers a one-at-a-time solve would, so its result is the same.
-    """
-    results: list[CritBandResult | None] = [None] * resamples
-    live = []  # [replicate index, sorted sample, search, pending bandwidth]
-    width = _block_rows(x.size + _grid_size(x.size))
-    i = 0  # the next replicate to start
-    while True:
-        while len(live) < width and i < resamples:
-            y = resample_with_replacement(x, derive_seed(seed, "ci", i))
-            if y[0] != y[-1]:
-                search = _search(y, k)
-                live.append([i, y, search, next(search)])
-            i += 1
-        if not live:
-            return results
-        density = _kde_rows_at(np.array([slot[1] for slot in live]), [slot[3] for slot in live])
-        running = []
-        for slot, answer in zip(live, _at_most_modes(density, k - 1).tolist()):
-            try:
-                slot[3] = slot[2].send(answer)
-                running.append(slot)
-            except StopIteration as done:
-                results[slot[0]] = done.value
-        live = running

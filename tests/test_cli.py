@@ -202,6 +202,16 @@ def test_analyze_ci_output_matches_golden_file(capsys, monkeypatch):
     assert capsys.readouterr().out.encode() == (data / "well_separated_n400_analyze_ci.json").read_bytes()
 
 
+def test_analyze_k3_output_matches_golden_file(capsys, monkeypatch):
+    # the golden file is this command's stdout, run from the repository root;
+    # k = 3 takes a second solve, at k = 2, for the strength
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    data = Path("tests") / "data"
+    argv = ["analyze", str(data / "well_separated_n400.csv"), "--format", "json", "--k", "3"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (data / "well_separated_n400_analyze_k3.json").read_bytes()
+
+
 def test_analyze_output_matches_golden_file_in_every_format(tmp_path, capsys, monkeypatch):
     # the golden file is the CSV's stdout, run from the repository root
     monkeypatch.chdir(Path(__file__).resolve().parents[1])
@@ -296,14 +306,12 @@ def test_benchmark_case_validates_once_and_evaluates_each_bandwidth_once(
         kde_bandwidths, as_sample_calls):
     from modality.benchmark import run_case
 
-    for seed in (0, 1):
-        kde_bandwidths.clear()
-        as_sample_calls.clear()
-        row = run_case(CASES[0], seeds=(seed,))
-        assert row.failures == 0
-        assert len(as_sample_calls) == 1
-        # the mode count at h0 is the solve's first evaluation, not a second one
-        assert len(set(kde_bandwidths)) == len(kde_bandwidths) > 1
+    # both seeds in one call, so their searches run in lockstep; each validates once
+    row = run_case(CASES[0], seeds=(0, 1))
+    assert row.failures == 0
+    assert len(as_sample_calls) == 2
+    # the mode count at h0 is each solve's first evaluation, not a second one
+    assert len(set(kde_bandwidths)) == len(kde_bandwidths) > 2
 
 
 def test_scalability_rows():

@@ -23,6 +23,7 @@ from modality import (
     silverman_test,
     solver,
 )
+from modality.benchmark import CASES
 from modality.rng import derive_seed
 from tests.conftest import EXTREME_SEPARATION, TRIMODAL, UNEQUAL_WEIGHTS, WELL_SEPARATED
 
@@ -218,6 +219,16 @@ def test_solve_evaluates_each_bandwidth_once(kde_bandwidths):
             r = critical_bandwidth(sample_mixture(spec, seed), k=k)
             assert r.success
             assert len(seen) == len(set(seen)) == r.iterations
+
+
+def test_lockstep_solves_equal_solves_of_their_own():
+    # each case's seeds run in one block, one _kde_rows_at row per search and
+    # step, until one is left; each result, iterations included, is the one
+    # its own solve gets from kde_fft
+    for case in CASES:
+        samples = [np.sort(sample_mixture(case.spec, seed)) for seed in range(3)]
+        expected = [critical_bandwidth(x, k=case.k) for x in samples]
+        assert solver._solve_each([(x, {}) for x in samples], case.k) == expected
 
 
 @pytest.mark.parametrize("rel_tol", [1e-16, 1e-17])

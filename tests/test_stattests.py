@@ -13,6 +13,7 @@ from modality import (
     excess_mass,
     silverman_test,
 )
+from modality.benchmark import CASES, run_case
 from modality.errors import TestInconclusiveError as InconclusiveTestError
 from modality.rng import random_open01, substream
 
@@ -275,7 +276,7 @@ def _monte_carlo_answers(samples):
         (silverman_test(x, resamples=199, seed=2), dip_test(x, resamples=199, seed=2),
          critical_bandwidth_ci(x, resamples=99, seed=2))
         for x in samples
-    ]
+    ] + [run_case(CASES[0], seeds=range(3))]
 
 
 @pytest.mark.parametrize("block_values,blocks", [(1, 199), (10**9, 1)])
@@ -283,7 +284,8 @@ def test_monte_carlo_tests_do_not_depend_on_the_block_size(
     block_values, blocks, well_separated, normal_500, monkeypatch
 ):
     # the same seed gives the same numbers with one replicate per block, or
-    # one interval replicate in flight, and with every replicate in one block
+    # one interval replicate or table2 seed in flight, and with every
+    # replicate in one block
     samples = (well_separated, normal_500)
     expected = _monte_carlo_answers(samples)
     monkeypatch.setattr(kde_mod, "_BLOCK_VALUES", block_values)
