@@ -114,11 +114,13 @@ def _read_delimited(path: Path, delimiter: str) -> Table:
 
 
 def _read_json(path: Path) -> Table:
-    with open(path, encoding="utf-8") as f:
-        try:
-            payload = json.load(f)
-        except json.JSONDecodeError as e:
-            raise DataFormatError(f"{path.name}: invalid JSON: {e}", line=e.lineno) from e
+    text = path.read_text(encoding="utf-8")
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise DataFormatError(f"{path.name}: invalid JSON: {e}", line=e.lineno) from e
+    except (ValueError, RecursionError) as e:  # an integer past Python's digit limit, or nesting too deep
+        raise DataFormatError(f"{path.name}: invalid JSON: {e}") from e
 
     def to_cells(seq) -> list[str]:
         return ["" if v is None else str(v) for v in seq]

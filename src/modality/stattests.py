@@ -48,8 +48,8 @@ _KS_SCREEN_MARGIN = 1e-9
 class TestResult:
     """Outcome of a Monte Carlo test.
 
-    ``method`` is one of "silverman", "dip", "excess_mass"; ``h_crit`` is
-    populated by the Silverman test only.
+    ``method`` is "silverman" or "dip"; ``h_crit`` is populated by the
+    Silverman test only.
     """
 
     statistic: float
@@ -154,28 +154,8 @@ def _dip_of_sorted(x: np.ndarray) -> float:
     low, high = 0, n - 1
     best = 1.0  # in units of 1/(2n); never below the attainable floor
 
-    # mn[j]: previous touchpoint of the greatest convex minorant up to j
-    mn = [0] * n
-    for j in range(1, n):
-        xj = x[j]
-        mnj = j - 1
-        while mnj != 0:
-            mnmnj = mn[mnj]
-            if (xj - x[mnj]) * (mnj - mnmnj) < (x[mnj] - x[mnmnj]) * (j - mnj):
-                break
-            mnj = mnmnj
-        mn[j] = mnj
-    # mj[k]: next touchpoint of the least concave majorant from k on
-    mj = [n - 1] * n
-    for k in range(n - 2, -1, -1):
-        xk = x[k]
-        mjk = k + 1
-        while mjk != n - 1:
-            mjmjk = mj[mjk]
-            if (xk - x[mjk]) * (mjk - mjmjk) < (x[mjk] - x[mjmjk]) * (k - mjk):
-                break
-            mjk = mjmjk
-        mj[k] = mjk
+    mn = _hull_links(x, range(n))  # mn[j]: previous touchpoint of the convex minorant of 0..j
+    mj = _hull_links(x, range(n - 1, -1, -1))  # mj[k]: next touchpoint of the concave majorant of k..n-1
 
     while True:
         gcm = [high]
@@ -254,6 +234,27 @@ def _dip_of_sorted(x: np.ndarray) -> float:
     return best / (2.0 * n)
 
 
+def _hull_links(x: list[float], order: range) -> list[int]:
+    """Each point's link to the hull touchpoint before it, walking ``x`` in ``order``.
+
+    Walking up from 0, ``links[j]`` is the previous touchpoint of the
+    greatest convex minorant of the points 0..j; walking down from n - 1,
+    it is the next touchpoint of the least concave majorant of k..n - 1.
+    """
+    end = order[0]
+    links = [end] * len(x)
+    for j in order[1:]:
+        xj = x[j]
+        link = j - order.step
+        while link != end:
+            nxt = links[link]
+            if (xj - x[link]) * (link - nxt) < (x[link] - x[nxt]) * (j - link):
+                break
+            link = nxt
+        links[j] = link
+    return links
+
+
 def dip_test(x, resamples: int = 999, seed: int = 0) -> TestResult:
     """Dip test of unimodality, calibrated against uniform null samples.
 
@@ -303,35 +304,25 @@ def _ks_to_uniform(u: np.ndarray) -> np.ndarray:
     return np.maximum(above, below)
 
 
-def _interval_masses(pts: np.ndarray, density: np.ndarray, p: float) -> list[float]:
-    """Masses of (density - p) over each maximal interval where density > p.
+def _interval_masses(pts: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Integral of the positive part of ``d`` over each maximal run where ``d > 0``.
 
-    Interval endpoints between grid points come from linear interpolation
-    of the crossing, so each partial cell contributes its triangular
-    sliver.
+    ``d`` is sampled at the grid points ``pts`` and read as linear between
+    them. One rule per cell of width dx with end values a and b:
+    both above 0 adds (a + b) dx/2; exactly one above 0 adds
+    hi^2/(hi - lo) dx/2, with hi = max(a, b) and lo = min(a, b), the
+    triangle up to the linear crossing; any other cell adds 0. Each cell
+    counts toward the run that holds its end above 0.
     """
-    above = density > p
-    if not above.any():
-        return []
-    delta = pts[1] - pts[0]
-    d = density - p
-    edges = np.flatnonzero(np.diff(above.astype(np.int8)))
-    starts = [0] if above[0] else []
-    starts += list(edges[~above[edges]] + 1)
-    ends = list(edges[above[edges]])
-    if above[-1]:
-        ends.append(len(d) - 1)
-    masses = []
-    for i, j in zip(starts, ends):
-        m = float(np.trapezoid(d[i : j + 1], pts[i : j + 1])) if j > i else 0.0
-        if i > 0:
-            t = d[i] / (d[i] - d[i - 1])  # fraction of the cell above p
-            m += 0.5 * d[i] * t * delta
-        if j < len(d) - 1:
-            t = d[j] / (d[j] - d[j + 1])
-            m += 0.5 * d[j] * t * delta
-        masses.append(m)
-    return masses
+    above = d > 0
+    # the last run begun at or before each point: at a cell's right end,
+    # that is the run holding the cell's end above 0
+    run = np.cumsum(above & np.diff(above, prepend=False)) - 1
+    hi, lo = np.maximum(d[:-1], d[1:]), np.minimum(d[:-1], d[1:])
+    cell = hi > 0
+    hi, lo = hi[cell], lo[cell]
+    area = np.divide(hi * hi, hi - lo, out=hi + lo, where=lo <= 0)
+    return np.bincount(run[1:][cell], weights=area * np.diff(pts)[cell] / 2)
 
 
 def excess_mass(x, h: float | None = None) -> ExcessMassCurve:
@@ -351,7 +342,7 @@ def _excess_mass(x: np.ndarray, h: float | None = None) -> ExcessMassCurve:
     total = np.empty(thresholds.size)
     delta = 0.0
     for i, p in enumerate(thresholds):
-        masses = sorted(_interval_masses(pts, density, p), reverse=True)
+        masses = sorted(_interval_masses(pts, density - p), reverse=True)
         total[i] = sum(masses)
         if len(masses) >= 2:
             delta = max(delta, masses[1])  # E2 - E1 = second-largest mass

@@ -145,6 +145,17 @@ def test_analyze_unreadable_file_exits_2(make, tmp_path, capsys):
     assert err.startswith("data error:") and str(path) in err
 
 
+@pytest.mark.parametrize("text", [
+    pytest.param("[" + "7" * 5000 + ", 1.5]", id="integer_past_digit_limit"),
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested_too_deep"),
+])
+def test_analyze_json_the_decoder_rejects_exits_2(text, tmp_path, capsys):
+    path = tmp_path / "x.json"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("data error: x.json: invalid JSON:")
+
+
 def test_analyze_single_value_exits_2(tmp_path, capsys):
     path = tmp_path / "one.csv"
     path.write_text("v\n3.0\n")
@@ -183,14 +194,19 @@ def test_test_excess_reports_delta(wellsep_csv, capsys):
     assert report["p_value"] is None
 
 
-@pytest.mark.parametrize("method", ["silverman", "dip"])
-def test_test_output_matches_golden_file(method, capsys, monkeypatch):
+@pytest.mark.parametrize("sample,method", [
+    pytest.param("well_separated_n400", "silverman", id="silverman"),
+    pytest.param("well_separated_n400", "dip", id="dip"),
+    # unimodal: the KS screen passes null rows on to the hull walk
+    pytest.param("normal_n400", "dip", id="normal_dip"),
+])
+def test_test_output_matches_golden_file(sample, method, capsys, monkeypatch):
     # the golden files are this command's stdout, run from the repository root
     monkeypatch.chdir(Path(__file__).resolve().parents[1])
     data = Path("tests") / "data"
-    argv = ["test", str(data / "well_separated_n400.csv"), "--method", method, "--format", "json", "--seed", "0"]
+    argv = ["test", str(data / f"{sample}.csv"), "--method", method, "--format", "json", "--seed", "0"]
     assert main(argv) == 0
-    assert capsys.readouterr().out.encode() == (data / f"well_separated_n400_{method}.json").read_bytes()
+    assert capsys.readouterr().out.encode() == (data / f"{sample}_{method}.json").read_bytes()
 
 
 def test_analyze_ci_output_matches_golden_file(capsys, monkeypatch):

@@ -67,6 +67,16 @@ def test_json_rejects_other_shapes(tmp_path):
         read_data(path)
 
 
+@pytest.mark.parametrize("text,reason", [
+    pytest.param("[" + "7" * 5000 + ", 1.5]", "digits", id="integer_past_digit_limit"),
+    pytest.param("[" * 100_000 + "]" * 100_000, "recursion", id="nested_too_deep"),
+])
+def test_json_the_decoder_rejects_is_a_data_format_error(tmp_path, text, reason):
+    path = _write(tmp_path, "data.json", text)
+    with pytest.raises(DataFormatError, match=f"data.json: invalid JSON: .*{reason}"):
+        read_data(path)
+
+
 def test_markdown_file(tmp_path):
     path = _write(tmp_path, "data.md", "# title\n\n|x|\n|-|\n|1|\n|2|\n")
     np.testing.assert_array_equal(read_data(path), [1.0, 2.0])

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import modality.kde as kde_mod
@@ -15,7 +19,9 @@ from modality import (
 )
 from modality.benchmark import CASES, run_case
 from modality.errors import TestInconclusiveError as InconclusiveTestError
-from modality.rng import random_open01, substream
+from modality.kde import _kde_at
+from modality.rng import random_open01, sample_mixture, substream
+from modality.stattests import _hull_links, _interval_masses
 
 
 # --- independent dip oracle -------------------------------------------------
@@ -335,3 +341,111 @@ def test_excess_mass_orders_bimodal_above_unimodal(well_separated, normal_500):
 def test_excess_mass_explicit_bandwidth(well_separated):
     wide = excess_mass(well_separated, h=5.0)
     assert wide.delta == pytest.approx(0.0, abs=1e-6)  # oversmoothed to one bump
+
+
+# --- reference excess mass: the interval walk the cell rule replaced ----------
+
+def interval_masses_by_walk(pts, density, p):
+    """Masses of (density - p) over each maximal interval where density > p,
+    walked interval by interval, with a triangular sliver for each partial cell."""
+    above = density > p
+    if not above.any():
+        return []
+    delta = pts[1] - pts[0]
+    d = density - p
+    edges = np.flatnonzero(np.diff(above.astype(np.int8)))
+    starts = [0] if above[0] else []
+    starts += list(edges[~above[edges]] + 1)
+    ends = list(edges[above[edges]])
+    if above[-1]:
+        ends.append(len(d) - 1)
+    masses = []
+    for i, j in zip(starts, ends):
+        m = float(np.trapezoid(d[i : j + 1], pts[i : j + 1])) if j > i else 0.0
+        if i > 0:
+            t = d[i] / (d[i] - d[i - 1])
+            m += 0.5 * d[i] * t * delta
+        if j < len(d) - 1:
+            t = d[j] / (d[j] - d[j + 1])
+            m += 0.5 * d[j] * t * delta
+        masses.append(m)
+    return masses
+
+
+def excess_mass_by_walk(x, h):
+    curve = _kde_at(x, h)
+    pts, density = curve.grid.points, curve.density
+    thresholds = np.linspace(0.0, density.max(), stattests_mod.EXCESS_MASS_LEVELS)
+    mass, delta = [], 0.0
+    for p in thresholds:
+        masses = sorted(interval_masses_by_walk(pts, density, p), reverse=True)
+        mass.append(sum(masses))
+        if len(masses) >= 2:
+            delta = max(delta, masses[1])
+    return np.array(mass), delta
+
+
+@pytest.mark.parametrize("p,expected", [(0.0, [2.0, 8.0]), (1.0, [0.5, 5.25]), (4.0, [])])
+def test_interval_masses_by_cell_rule_on_a_hand_built_curve(p, expected):
+    # cells of width 1: whole trapezoids, and triangles up to the linear crossing
+    pts = np.arange(7.0)
+    density = np.array([0.0, 2.0, 0.0, 0.0, 4.0, 4.0, 0.0])
+    assert _interval_masses(pts, density - p).tolist() == expected
+    assert interval_masses_by_walk(pts, density, p) == expected
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
+def test_excess_mass_matches_the_interval_walk(case):
+    x = np.sort(sample_mixture(case.spec, 0))
+    for h in (kde_mod._silverman_bandwidth(x), 0.05, 1.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = excess_mass(x, h=h)
+        mass, delta = excess_mass_by_walk(x, h)
+        np.testing.assert_allclose(curve.mass, mass, rtol=0, atol=1e-12)
+        assert curve.delta == pytest.approx(delta, rel=0, abs=1e-12)
+
+
+# --- reference hull links: the two mirrored loops _hull_links replaced ---------
+
+def hull_links_by_loops(x):
+    n = len(x)
+    mn = [0] * n
+    for j in range(1, n):
+        xj = x[j]
+        mnj = j - 1
+        while mnj != 0:
+            mnmnj = mn[mnj]
+            if (xj - x[mnj]) * (mnj - mnmnj) < (x[mnj] - x[mnmnj]) * (j - mnj):
+                break
+            mnj = mnmnj
+        mn[j] = mnj
+    mj = [n - 1] * n
+    for k in range(n - 2, -1, -1):
+        xk = x[k]
+        mjk = k + 1
+        while mjk != n - 1:
+            mjmjk = mj[mjk]
+            if (xk - x[mjk]) * (mjk - mjmjk) < (x[mjk] - x[mjmjk]) * (k - mjk):
+                break
+            mjk = mjmjk
+        mj[k] = mjk
+    return mn, mj
+
+
+# n in [2, 300], on a few integer levels, rounded to a coarse grid, or spread out
+tie_heavy_samples = st.integers(2, 300).flatmap(
+    lambda n: st.one_of(
+        st.lists(st.integers(0, 4).map(float), min_size=n, max_size=n),
+        st.lists(st.floats(-3.0, 3.0).map(lambda v: round(v, 1)), min_size=n, max_size=n),
+        st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n),
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tie_heavy_samples)
+def test_hull_links_match_the_two_loops(values):
+    x = sorted(values)
+    n = len(x)
+    assert (_hull_links(x, range(n)), _hull_links(x, range(n - 1, -1, -1))) == hull_links_by_loops(x)
