@@ -31,7 +31,7 @@ from .errors import (
 from .io import read_data
 from .kde import _kde_at, _silverman_bandwidth
 from .modes import _modes_of_curve
-from .solver import _bootstrap, _check_solvable, _solve
+from .solver import _bootstrap, _solve
 from .stattests import _dip_test, _excess_mass, _silverman_test
 
 __all__ = ["main"]
@@ -118,15 +118,13 @@ def _decomposition_payload(decomp) -> dict:
 def cmd_analyze(args) -> int:
     x, descriptor = _load(args)  # validated and sorted, of size >= 2
     h_silverman = _silverman_bandwidth(x)
-    _check_solvable(x, args.k)
 
     # the one curve at h0 gives the modes, the decomposition and the first
     # mode count of the solves below, which start at h0
     curve = _kde_at(x, h_silverman)
     mode_runs = _modes_of_curve(curve)
     mode_set = mode_runs[0]
-    counts = {h_silverman: int(mode_set.count)}
-    result = _solve(x, args.k, counts=counts)
+    result = _solve(x, args.k, mode_set.count)
     if args.ci:
         result = _bootstrap(x, result, args.resamples, args.seed)
     if not result.success:
@@ -138,7 +136,7 @@ def cmd_analyze(args) -> int:
     if mode_set.count >= 2:
         decomposition = _decomposition_payload(_components_of_curve(x, curve, mode_runs))
     try:
-        solved = result if args.k == 2 else _solve(x, 2, counts=counts)
+        solved = result if args.k == 2 else _solve(x, 2, mode_set.count)
         strength = _strength_of(solved, h_silverman)
         strength_payload = {"ratio": strength.ratio, "label": strength.label}
     except SolverError:
@@ -222,10 +220,14 @@ def cmd_decompose(args) -> int:
 
 
 def _parse_seed_range(raw: str) -> tuple[int, ...]:
-    if ".." in raw:
-        lo, hi = raw.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(part) for part in raw.split(","))
+    lo, dots, hi = raw.partition("..")
+    try:
+        seeds = tuple(range(int(lo), int(hi) + 1) if dots else map(int, raw.split(",")))
+    except ValueError:
+        seeds = ()
+    if not seeds:
+        raise _UsageExit(f'--seeds: expected "A..B" with A <= B or "a,b,c", got {raw!r}')
+    return seeds
 
 
 def cmd_benchmark(args) -> int:

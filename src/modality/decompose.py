@@ -9,7 +9,7 @@ import numpy as np
 from .errors import NotBimodalError, SolverError
 from .kde import _kde_at, _silverman_bandwidth, as_sample
 from .modes import _modes_of_curve, _trough_of_curve
-from .solver import CritBandResult, _check_solvable, _solve
+from .solver import CritBandResult, _solve
 
 __all__ = [
     "Component",
@@ -119,7 +119,7 @@ def bimodality_strength(x) -> StrengthReport:
     bandwidth; both scale with the data, so the ratio is affine
     invariant. Labels follow the module cutoffs.
     """
-    x = _check_solvable(as_sample(x, min_size=3), 2)
+    x = as_sample(x, min_size=3)
     return _strength_of(_solve(x, 2), _silverman_bandwidth(x))
 
 

@@ -89,28 +89,26 @@ def _coerce_column(name: str, numeric: list[float], dropped: int, origin: str) -
     return as_sample(numeric)
 
 
-def _rows_to_table(rows: list[list[str]], origin: str) -> Table:
-    rows = [r for r in rows if any(map(str.strip, r))]
-    if not rows:
-        raise DataFormatError(f"{origin}: no data rows")
-    head = [c.strip() for c in rows[0]]
-    if head and all(_parse_number(c) is not None for c in head if c != ""):
-        names = [f"col{i}" for i in range(len(head))]  # headerless numeric file
-        data = rows
-    else:
-        names, data = head, rows[1:]
-    columns = {n: [r[i] if i < len(r) else "" for r in data] for i, n in enumerate(names)}
+def _rows_to_table(names: list[str], rows: list[list[str]]) -> Table:
+    """The named columns of ``rows``; a short row's missing cells are empty."""
+    columns = {n: [r[i] if i < len(r) else "" for r in rows] for i, n in enumerate(names)}
     return Table(column_names=tuple(names), columns=columns)
 
 
 def _read_delimited(path: Path, delimiter: str) -> Table:
+    """A CSV or TSV table; a first row of numbers and empty cells is data, not a header."""
     with open(path, newline="", encoding="utf-8") as f:
         if delimiter == ",":
             reader = csv.reader(f)
         else:
             reader = csv.reader(f, delimiter=delimiter, quoting=csv.QUOTE_NONE)
-        rows = list(reader)
-    return _rows_to_table(rows, path.name)
+        rows = [r for r in reader if any(map(str.strip, r))]
+    if not rows:
+        raise DataFormatError(f"{path.name}: no data rows")
+    head = [c.strip() for c in rows[0]]
+    if all(_parse_number(c) is not None for c in head if c != ""):
+        return _rows_to_table([f"col{i}" for i in range(len(head))], rows)
+    return _rows_to_table(head, rows[1:])
 
 
 def _read_json(path: Path) -> Table:
@@ -162,8 +160,9 @@ def parse_markdown_table(text: str) -> Table:
     """Parse the first pipe table in ``text``.
 
     Requires a header row, a delimiter row of dashes with optional
-    alignment colons, and at least one data row. Pipes escaped as
-    ``\\|`` stay inside their cell.
+    alignment colons, and at least one data row. The row above the
+    delimiter row is always the header, even when its cells are numbers.
+    Pipes escaped as ``\\|`` stay inside their cell.
     """
     lines = text.splitlines()
     header_at = None
@@ -186,7 +185,7 @@ def parse_markdown_table(text: str) -> Table:
         rows.append(_split_pipe_row(line))
     if not rows:
         raise DataFormatError("markdown: table has no data rows", line=header_at + 3)
-    return _rows_to_table([list(names)] + rows, "markdown")
+    return _rows_to_table(names, [r for r in rows if any(r)])  # cells are stripped
 
 
 def _read_markdown(path: Path) -> Table:

@@ -137,18 +137,20 @@ def silverman_bandwidth(x) -> float:
     ``sd`` is the n-1 sample standard deviation; the IQR uses linearly
     interpolated quantiles (numpy's default convention). When the IQR
     collapses to zero on a sample that still has spread, the rule falls
-    back to the standard deviation so the result stays positive.
+    back to the standard deviation so the result stays positive. A sample
+    has zero scale exactly when its smallest and largest values are equal;
+    that raises :class:`DegenerateSampleError`, whatever ``np.std`` rounds to.
     """
     return _silverman_bandwidth(as_sample(x, min_size=2))
 
 
 def _silverman_bandwidth(x: np.ndarray) -> float:
     """:func:`silverman_bandwidth` of a validated, sorted sample of size >= 2."""
+    if x[0] == x[-1]:
+        raise DegenerateSampleError("sample: zero scale (all observations identical)")
     sd = float(np.std(x, ddof=1))
     q75, q25 = np.percentile(x, [75.0, 25.0])
     iqr = float(q75 - q25)
-    if sd == 0.0 and iqr == 0.0:
-        raise DegenerateSampleError("sample: zero scale (all observations identical)")
     if iqr > 0.0:
         scale = min(sd, iqr / 1.34)
     else:

@@ -17,7 +17,9 @@ grid: live searches of one size (the interval's replicates, the seeds of
 ``benchmark --suite table2``) step in lockstep, one ``_kde_rows_at`` row
 each, and a lone live search, as in a single solve, uses ``kde_fft``; each
 gets the answers a solve of its own would. The public functions validate
-and sort the sample once; the layers below take it as given.
+and sort the sample once. ``_solve`` is the checked entry below them: it
+checks the size and ``k``, and zero scale raises at the search's first step,
+the rule-of-thumb h0. A search may be seeded with the mode count at h0.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CIUnreliableError, ValidationError
-from .kde import _block_rows, _grid_size, _kde_at, _kde_rows_at, _silverman_bandwidth, as_sample
+from .kde import _block_rows, _check_size, _grid_size, _kde_at, _kde_rows_at, _silverman_bandwidth, as_sample
 from .modes import _at_most_modes, count_modes
 from .rng import derive_seed, resample_with_replacement
 
@@ -81,27 +83,17 @@ class CritBandResult:
     ci_failures: int | None = None
 
 
-def _check_solvable(x: np.ndarray, k: int) -> np.ndarray:
-    """Check ``k`` and the size and scale of a validated, sorted sample."""
-    if x.size < 3:
-        raise ValidationError(f"sample: need at least 3 observations, got {x.size}")
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise ValidationError(f"k: must be an integer >= 1, got {k!r}")
-    if x[0] == x[-1]:
-        raise ValidationError("sample: zero scale (all observations identical)")
-    return x
-
-
-def _search(x: np.ndarray, k: int, counts: dict[float, int]):
+def _search(x: np.ndarray, k: int, modes_at_h0: int | None):
     """The critical bandwidth search on a validated, sorted sample, as a generator.
 
     It yields each bandwidth whose mode count it needs and is sent back
     whether that count is at most ``k - 1``; it returns the
     :class:`CritBandResult`. Each bandwidth is asked for once, and
-    ``iterations`` counts distinct bandwidths. ``counts`` holds mode counts
-    already taken on ``x``, keyed by bandwidth; they count as evaluations.
+    ``iterations`` counts distinct bandwidths. A given ``modes_at_h0``, the
+    mode count at the rule-of-thumb h0, counts as its first evaluation.
     """
-    answers = {h: c <= k - 1 for h, c in counts.items()}
+    h0 = _silverman_bandwidth(x)
+    answers = {} if modes_at_h0 is None else {h0: modes_at_h0 <= k - 1}
 
     def at_most(h):
         if h not in answers:
@@ -112,7 +104,6 @@ def _search(x: np.ndarray, k: int, counts: dict[float, int]):
         return CritBandResult(h_crit=h_crit, success=success, k=k, iterations=len(answers))
 
     # bracket the transition: more than k - 1 modes at h_lo, at most k - 1 at h_hi
-    h0 = _silverman_bandwidth(x)
     if (yield from at_most(h0)):
         h_hi, h_lo = h0, h0 / BRACKET_GROWTH
         while (yield from at_most(h_lo)):
@@ -153,21 +144,25 @@ def critical_bandwidth(x, k: int = 2) -> CritBandResult:
     just below. ``k=1`` has no attainable target (every density has at
     least one mode) and reports ``success=False``.
     """
-    return _solve(_check_solvable(as_sample(x, min_size=3), k), k)
+    return _solve(as_sample(x, min_size=3), k)
 
 
-def _solve(x: np.ndarray, k: int, counts: dict[float, int] | None = None) -> CritBandResult:
-    """:func:`critical_bandwidth` of a validated, sorted sample; ``counts``
-    holds mode counts the caller already took on ``x``, keyed by bandwidth."""
-    return _solve_each([(x, counts or {})], k)[0]
+def _solve(x: np.ndarray, k: int, modes_at_h0: int | None = None) -> CritBandResult:
+    """:func:`critical_bandwidth` of a validated, sorted sample, with its size
+    and ``k`` checked; ``modes_at_h0`` seeds the search, as in :func:`_search`."""
+    _check_size(x, 3)
+    if not (isinstance(k, (int, np.integer)) and k >= 1):
+        raise ValidationError(f"k: must be an integer >= 1, got {k!r}")
+    return _solve_each([(x, modes_at_h0)], k)[0]
 
 
 def _solve_each(problems, k: int) -> list[CritBandResult]:
-    """:func:`_solve` of each ``(x, counts)`` in ``problems``, in order; the
-    samples have one size. A block's worth of searches runs in lockstep,
-    refilled from ``problems``: each step evaluates every live search at its
-    pending bandwidth in one ``_kde_rows_at`` block, or by ``kde_fft`` if one
-    is live, and sends each its answer, the one a solve of its own gets.
+    """:func:`_solve` of each ``(x, modes_at_h0)`` in ``problems``, in order,
+    unchecked: ``k`` is valid and the samples are solvable and of one size.
+    A block's worth of searches runs in lockstep, refilled from ``problems``:
+    each step evaluates every live search at its pending bandwidth in one
+    ``_kde_rows_at`` block, or by ``kde_fft`` if one is live, and sends each
+    its answer, the one a solve of its own gets.
     """
     results: list[CritBandResult | None] = []
     live = []  # [result index, sample, search, pending bandwidth]
@@ -188,8 +183,8 @@ def _solve_each(problems, k: int) -> list[CritBandResult]:
             answers = _at_most_modes(density, k - 1).tolist()
         live[:] = [slot for slot, answer in zip(live, answers) if advance(slot, answer)]
 
-    for x, counts in problems:
-        slot = [len(results), x, _search(x, k, counts), None]
+    for x, modes_at_h0 in problems:
+        slot = [len(results), x, _search(x, k, modes_at_h0), None]
         results.append(None)
         if advance(slot, None):
             live.append(slot)
@@ -213,7 +208,8 @@ def critical_bandwidth_ci(x, k: int = 2, resamples: int | None = None,
     :class:`CIUnreliableError`. The 95% interval is widened, if needed, to
     contain the point estimate.
     """
-    x = _check_solvable(as_sample(x, min_size=3), k)
+    x = as_sample(x, min_size=3)
+    point = _solve(x, k)
     if resamples is None:
         resamples = DEFAULT_CI_RESAMPLES
         if x.size > _LARGE_SAMPLE:
@@ -222,7 +218,7 @@ def critical_bandwidth_ci(x, k: int = 2, resamples: int | None = None,
                 f"n={x.size} will be slow; pass resamples explicitly to silence",
                 stacklevel=2,
             )
-    return _bootstrap(x, _solve(x, k), resamples, seed)
+    return _bootstrap(x, point, resamples, seed)
 
 
 def _bootstrap(x: np.ndarray, point: CritBandResult, resamples: int, seed: int) -> CritBandResult:
@@ -231,7 +227,7 @@ def _bootstrap(x: np.ndarray, point: CritBandResult, resamples: int, seed: int) 
     if resamples < 99:
         raise ValidationError(f"resamples: must be >= 99, got {resamples}")
     replicates = (resample_with_replacement(x, derive_seed(seed, "ci", i)) for i in range(resamples))
-    solved = _solve_each(((y, {}) for y in replicates if y[0] != y[-1]), point.k)
+    solved = _solve_each(((y, None) for y in replicates if y[0] != y[-1]), point.k)
     values = [r.h_crit for r in solved if r.success]
     failures = resamples - len(values)
     if len(values) < 0.5 * resamples:

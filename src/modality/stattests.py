@@ -24,7 +24,7 @@ from .errors import TestInconclusiveError, ValidationError
 from .kde import _blocks, _check_size, _grid_size, _kde_at, _kde_rows_at, _silverman_bandwidth, as_sample
 from .modes import _at_most_modes
 from .rng import random_open01, standard_normals, substream
-from .solver import _check_solvable, _solve
+from .solver import _solve
 
 __all__ = [
     "TestResult",
@@ -103,7 +103,7 @@ def _silverman_test(x: np.ndarray, mod0: int, resamples: int, seed: int) -> Test
     if resamples < 99:
         raise ValidationError(f"resamples: must be >= 99, got {resamples}")
 
-    solved = _solve(_check_solvable(x, mod0 + 1), mod0 + 1)
+    solved = _solve(x, mod0 + 1)
     if not solved.success:
         raise TestInconclusiveError(
             f"critical bandwidth search did not verify a transition for mod0={mod0}"

@@ -163,6 +163,16 @@ def test_analyze_single_value_exits_2(tmp_path, capsys):
     assert "fewer than 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["modes"], ["decompose"], ["test", "--method", "excess"], ["analyze"],
+], ids=["modes", "decompose", "test_excess", "analyze"])
+def test_constant_sample_exits_2_with_zero_scale(argv, tmp_path, capsys):
+    path = tmp_path / "constant.csv"
+    path.write_text("value\n" + "0.1\n" * 7)
+    assert main([*argv, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("data error: sample: zero scale")
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["bogus"]) == 1
     assert "usage error" in capsys.readouterr().err
@@ -335,6 +345,15 @@ def test_scalability_rows():
     assert [r.n for r in rows] == [100, 6000]
     assert all(r.seconds > 0 and r.h_crit > 0 for r in rows)
     assert "h_crit" in scalability_to_text(rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seeds", "3..1"], ["--suite", "scalability", "--seeds", "3..1"],
+    ["--seeds", "a..b"], ["--seeds", ","],
+], ids=["empty_range", "empty_range_scalability", "not_numbers", "empty_list"])
+def test_benchmark_bad_seeds_is_usage_error(argv, capsys):
+    assert main(["benchmark", *argv]) == 1
+    assert capsys.readouterr().err.startswith("usage error: --seeds:")
 
 
 def test_benchmark_cli_writes_csv(tmp_path, capsys):

@@ -82,6 +82,12 @@ def test_markdown_file(tmp_path):
     np.testing.assert_array_equal(read_data(path), [1.0, 2.0])
 
 
+def test_markdown_numeric_header_is_a_header(tmp_path):
+    path = _write(tmp_path, "data.md", "| 2020 |\n|---:|\n| 5 |\n| 7 |\n| 9 |\n")
+    assert read_table(path).columns == {"2020": ["5", "7", "9"]}
+    np.testing.assert_array_equal(read_data(path), [5.0, 7.0, 9.0])
+
+
 def test_unknown_extension(tmp_path):
     path = _write(tmp_path, "data.xyz", "1\n2\n")
     with pytest.raises(ValidationError, match="extension"):

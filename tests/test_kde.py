@@ -49,8 +49,10 @@ def test_silverman_translation_invariance(well_separated):
 def test_silverman_degenerate_inputs():
     with pytest.raises(ValidationError):
         silverman_bandwidth(np.array([1.0]))
-    with pytest.raises(DegenerateSampleError):
-        silverman_bandwidth(np.full(10, 3.0))
+    # the n - 1 standard deviation of the last two rounds to 1.5e-17 and 1.2e-16, not 0
+    for x in (np.full(10, 3.0), np.full(7, 0.1), np.full(11, 0.7)):
+        with pytest.raises(DegenerateSampleError, match="zero scale"):
+            silverman_bandwidth(x)
 
 
 def test_silverman_zero_iqr_falls_back_to_sd():

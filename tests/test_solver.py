@@ -120,8 +120,9 @@ def test_k1_has_no_attainable_target(well_separated):
 def test_degenerate_inputs_rejected():
     with pytest.raises(ValidationError):
         critical_bandwidth(np.array([1.0, 2.0]), k=2)  # n < 3
-    with pytest.raises(ValidationError):
-        critical_bandwidth(np.full(20, 5.0), k=2)  # zero scale
+    for x in (np.full(20, 5.0), np.full(7, 0.1)):  # zero scale
+        with pytest.raises(ValidationError, match="zero scale"):
+            critical_bandwidth(x, k=2)
     with pytest.raises(ValidationError):
         critical_bandwidth(np.arange(10.0), k=0)
 
@@ -228,7 +229,7 @@ def test_lockstep_solves_equal_solves_of_their_own():
     for case in CASES:
         samples = [np.sort(sample_mixture(case.spec, seed)) for seed in range(3)]
         expected = [critical_bandwidth(x, k=case.k) for x in samples]
-        assert solver._solve_each([(x, {}) for x in samples], case.k) == expected
+        assert solver._solve_each([(x, None) for x in samples], case.k) == expected
 
 
 @pytest.mark.parametrize("rel_tol", [1e-16, 1e-17])

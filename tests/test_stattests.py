@@ -9,9 +9,12 @@ from scipy.optimize import linprog
 import modality.kde as kde_mod
 import modality.stattests as stattests_mod
 from modality import (
+    DegenerateSampleError,
     ValidationError,
+    bimodality_strength,
     critical_bandwidth,
     critical_bandwidth_ci,
+    detect_components,
     dip_statistic,
     dip_test,
     excess_mass,
@@ -449,3 +452,13 @@ def test_hull_links_match_the_two_loops(values):
     x = sorted(values)
     n = len(x)
     assert (_hull_links(x, range(n)), _hull_links(x, range(n - 1, -1, -1))) == hull_links_by_loops(x)
+
+
+@pytest.mark.parametrize("method", [
+    excess_mass, detect_components, bimodality_strength,
+    lambda x: silverman_test(x, resamples=99, seed=0),
+], ids=["excess_mass", "detect_components", "bimodality_strength", "silverman_test"])
+def test_constant_sample_has_zero_scale_everywhere(method):
+    # np.std of this sample is 1.4e-17, not 0: the rule tests its range
+    with pytest.raises(DegenerateSampleError, match="sample: zero scale"):
+        method(np.full(20, 0.1))
