@@ -1,18 +1,21 @@
 """Tabular file ingestion: CSV, TSV/TXT, JSON, and Markdown pipe tables.
 
 Every reader funnels into the same two steps: parse the file into a
-:class:`Table` of raw string cells, then coerce one column (or all
-numeric columns) into a validated, sorted sample. Parsing is pure per
-file content; format detection is by extension only. A file that cannot
-be opened, decoded or split into fields raises :class:`DataFormatError`.
+:class:`Table` of raw cells, then coerce one column (or all numeric
+columns) into a validated, sorted sample. CSV, TSV and Markdown cells
+are strings; JSON cells keep the decoded numbers (``int`` and ``float``)
+and strings as they are, ``null`` is the empty cell, and any other value
+(``true``, ``false``, an array or an object) is its ``str()``. Parsing is
+pure per file content; format detection is by extension only. A file
+that cannot be opened, decoded or split into fields raises
+:class:`DataFormatError`.
 
 Each column that is read is turned into numbers in one pass, and both
 the decision that it is numeric and its sample are taken from that
-pass. Numeric coercion accepts integers, decimals, and scientific
-notation. Locale decimal commas are not recognized. Empty cells are
-skipped silently; non-empty cells that fail to parse (or parse to
-non-finite values) are dropped and reported with a count via
-``warnings``.
+pass. A cell is a number when Python's ``float`` accepts it (after
+stripping surrounding whitespace) and the value is finite. Empty cells
+are skipped silently; non-empty cells that are not numbers are dropped
+and reported with a count via ``warnings``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import contains
 from pathlib import Path
 
 import numpy as np
@@ -41,10 +46,14 @@ NUMERIC_SHARE = 0.9
 
 @dataclass(frozen=True)
 class Table:
-    """Parsed tabular text: ordered column names and raw string cells."""
+    """Parsed tabular text: ordered column names and raw cells.
+
+    Cells are strings, except that a JSON file's numbers stay ``int`` and
+    ``float`` values.
+    """
 
     column_names: tuple[str, ...]
-    columns: dict[str, list[str]]
+    columns: dict[str, list[str | int | float]]
 
     def __post_init__(self):
         names = tuple(str(n).strip() for n in self.column_names)
@@ -59,39 +68,53 @@ class Table:
         object.__setattr__(self, "columns", cells)
 
 
-def _parse_number(cell: str) -> float | None:
+def _is_number(cell: str) -> bool:
     try:
-        value = float(cell)
+        return math.isfinite(float(cell))
     except ValueError:
-        return None
-    return value if math.isfinite(value) else None
+        return False
 
 
-def _parse_column(cells: list[str]) -> tuple[list[float], int]:
+def _parse_column(cells: list) -> tuple[np.ndarray, int]:
     """The finite numbers among ``cells`` and the count of non-empty cells that are not."""
-    cells = [c for c in (cell.strip() for cell in cells) if c != ""]
-    numeric = [v for v in map(_parse_number, cells) if v is not None]
-    return numeric, len(cells) - len(numeric)
+    # strings are stripped and empty ones skipped; numbers are never empty
+    cells = [s for c in cells if (s := c.strip() if c.__class__ is str else c) != ""]
+    numbers, converted = [], map(float, cells)
+    while True:  # one pass: a cell that raises is dropped, and the pass goes on after it
+        try:
+            numbers.extend(converted)
+            break
+        except (ValueError, OverflowError):
+            pass
+    numbers = np.array(numbers, dtype=np.float64)
+    numbers = numbers[np.isfinite(numbers)]
+    return numbers, len(cells) - numbers.size
 
 
-def _is_numeric(numeric: list[float], dropped: int) -> bool:
-    return bool(numeric) and len(numeric) / (len(numeric) + dropped) >= NUMERIC_SHARE
+def _is_numeric(numeric: np.ndarray, dropped: int) -> bool:
+    return numeric.size > 0 and numeric.size / (numeric.size + dropped) >= NUMERIC_SHARE
 
 
-def _coerce_column(name: str, numeric: list[float], dropped: int, origin: str) -> np.ndarray:
+def _coerce_column(name: str, numeric: np.ndarray, dropped: int, origin: str) -> np.ndarray:
     if dropped:
         warnings.warn(
             f"{origin}: column {name!r}: dropped {dropped} non-numeric cell(s)",
             stacklevel=3,
         )
-    if len(numeric) < 2:
+    if numeric.size < 2:
         raise DataFormatError(f"{origin}: column {name!r}: fewer than 2 numeric values")
     return as_sample(numeric)
 
 
-def _rows_to_table(names: list[str], rows: list[list[str]]) -> Table:
-    """The named columns of ``rows``; a short row's missing cells are empty."""
-    columns = {n: [r[i] if i < len(r) else "" for r in rows] for i, n in enumerate(names)}
+def _gather_table(names: list[str], cells: np.ndarray, starts: np.ndarray,
+                  sizes: np.ndarray) -> Table:
+    """The named columns of rows whose cells are ``cells[starts[i]:starts[i] + sizes[i]]``.
+
+    A short row's missing cells are empty, and a long row's extra cells
+    are ignored.
+    """
+    padded = np.append(cells, "")  # index -1: the cell a short row lacks
+    columns = {n: padded[np.where(i < sizes, starts + i, -1)].tolist() for i, n in enumerate(names)}
     return Table(column_names=tuple(names), columns=columns)
 
 
@@ -106,9 +129,16 @@ def _read_delimited(path: Path, delimiter: str) -> Table:
     if not rows:
         raise DataFormatError(f"{path.name}: no data rows")
     head = [c.strip() for c in rows[0]]
-    if all(_parse_number(c) is not None for c in head if c != ""):
-        return _rows_to_table([f"col{i}" for i in range(len(head))], rows)
-    return _rows_to_table(head, rows[1:])
+    if all(map(_is_number, filter(None, head))):
+        names = [f"col{i}" for i in range(len(head))]
+    else:
+        names, rows = head, rows[1:]
+    sizes = np.fromiter(map(len, rows), np.intp, len(rows))
+    cells = np.fromiter(chain.from_iterable(rows), object)
+    return _gather_table(names, cells, np.cumsum(sizes) - sizes, sizes)
+
+
+_JSON_KEPT = {int, float, str}
 
 
 def _read_json(path: Path) -> Table:
@@ -120,10 +150,12 @@ def _read_json(path: Path) -> Table:
     except (ValueError, RecursionError) as e:  # an integer past Python's digit limit, or nesting too deep
         raise DataFormatError(f"{path.name}: invalid JSON: {e}") from e
 
-    def to_cells(seq) -> list[str]:
-        return ["" if v is None else str(v) for v in seq]
+    def to_cells(seq) -> list:
+        # numbers and strings are kept, null is the empty cell, and anything
+        # else (true, false, an array or an object) becomes its str()
+        return ["" if v is None else v if v.__class__ in _JSON_KEPT else str(v) for v in seq]
 
-    if isinstance(payload, list) and all(isinstance(v, (int, float, type(None))) for v in payload):
+    if isinstance(payload, list) and set(map(type, payload)) <= {int, float, bool, type(None)}:
         return Table(column_names=("values",), columns={"values": to_cells(payload)})
     if isinstance(payload, list) and payload and all(isinstance(v, dict) for v in payload):
         names = list(payload[0].keys())
@@ -143,17 +175,30 @@ def _read_json(path: Path) -> Table:
 
 
 _DELIMITER_CELL = re.compile(r"^:?-+:?$")
-_PIPE = re.compile(r"(?<!\\)\|")  # a cell boundary: a pipe not escaped as \|
+# While a table is split, _ESCAPED_PIPE stands in for "\|" and _CUT marks a cell boundary;
+# splitlines() leaves neither character in a line, so neither can be taken for text.
+_ESCAPED_PIPE, _CUT = "\r", "\x1e"
 
 
-def _split_pipe_row(line: str) -> list[str]:
-    parts = _PIPE.split(line)
-    stripped = line.strip()
-    if stripped.startswith("|"):
-        parts = parts[1:]
-    if stripped.endswith("|") and not stripped.endswith("\\|"):
-        parts = parts[:-1]
-    return [p.replace("\\|", "|").strip() for p in parts]
+def _split_pipe_rows(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stripped cells of pipe-table rows in one flat array, and each row's start and size there.
+
+    ``text`` holds the rows, stripped and joined by newlines. A pipe at
+    either end of a row bounds no cell (a row that is one pipe has no
+    cells), and ``\\|`` is a pipe inside a cell.
+    """
+    text = text.replace("\\|", _ESCAPED_PIPE).replace("|", _CUT).replace(_ESCAPED_PIPE, "|")
+    # every row gets one outer cut at each end: add one, and drop it again where the row had its own
+    text = f"\n{text}\n".replace("\n", f"\n{_CUT}").replace(f"\n{_CUT}{_CUT}", f"\n{_CUT}")
+    text = text.replace("\n", f"{_CUT}\n").replace(f"{_CUT}{_CUT}\n", f"{_CUT}\n")
+    # the space that usually pads a cell goes in bulk, so that most cells need no strip of their own
+    text = text.replace(f" {_CUT}", _CUT).replace(f"{_CUT} ", _CUT)
+    tokens = text[2:-2].split(_CUT)  # "", the cells of row 0, "\n", the cells of row 1, ..., ""
+    del text  # let the joined rows go before the stripped cells are made
+    breaks = np.flatnonzero(np.array(tokens, dtype=object) == "\n")
+    cells = np.fromiter(map(str.strip, tokens), object, len(tokens))
+    starts = np.append(0, breaks) + 1
+    return cells, starts, np.append(breaks, cells.size - 1) - starts
 
 
 def parse_markdown_table(text: str) -> Table:
@@ -165,27 +210,25 @@ def parse_markdown_table(text: str) -> Table:
     Pipes escaped as ``\\|`` stay inside their cell.
     """
     lines = text.splitlines()
-    header_at = None
-    for i, line in enumerate(lines):
-        if "|" in line and line.strip():
-            header_at = i
-            break
-    if header_at is None:
+    piped = [*map(contains, lines, repeat("|")), False]  # the table ends where the text does
+    if True not in piped:
         raise DataFormatError("markdown: no pipe table found")
-    names = _split_pipe_row(lines[header_at])
+    header_at = piped.index(True)
     if header_at + 1 >= len(lines):
         raise DataFormatError("markdown: missing delimiter row", line=header_at + 2)
-    delim_cells = _split_pipe_row(lines[header_at + 1])
-    if not delim_cells or not all(_DELIMITER_CELL.match(c) for c in delim_cells):
+    end = piped.index(False, header_at + 2)
+    rows = "\n".join(map(str.strip, lines[header_at:end]))
+    del lines, piped  # the table's rows are all that is used from here on
+    cells, starts, sizes = _split_pipe_rows(rows)
+    names, delimiter = (cells[s : s + n].tolist() for s, n in zip(starts[:2], sizes[:2]))
+    if not delimiter or not all(map(_DELIMITER_CELL.match, delimiter)):
         raise DataFormatError("markdown: malformed delimiter row", line=header_at + 2)
-    rows = []
-    for line in lines[header_at + 2 :]:
-        if "|" not in line or not line.strip():
-            break
-        rows.append(_split_pipe_row(line))
-    if not rows:
+    if end == header_at + 2:
         raise DataFormatError("markdown: table has no data rows", line=header_at + 3)
-    return _rows_to_table(names, [r for r in rows if any(r)])  # cells are stripped
+    starts, sizes = starts[2:], sizes[2:]
+    filled = np.append(0, np.cumsum(cells != ""))
+    kept = filled[starts + sizes] > filled[starts]  # rows with a non-empty cell
+    return _gather_table(names, cells, starts[kept], sizes[kept])
 
 
 def _read_markdown(path: Path) -> Table:

@@ -140,6 +140,7 @@ def silverman_bandwidth(x) -> float:
     back to the standard deviation so the result stays positive. A sample
     has zero scale exactly when its smallest and largest values are equal;
     that raises :class:`DegenerateSampleError`, whatever ``np.std`` rounds to.
+    So does a spread so small (subnormal) that the bandwidth underflows to 0.
     """
     return _silverman_bandwidth(as_sample(x, min_size=2))
 
@@ -155,7 +156,10 @@ def _silverman_bandwidth(x: np.ndarray) -> float:
         scale = min(sd, iqr / 1.34)
     else:
         scale = sd
-    return 1.06 * scale * x.size ** (-0.2)
+    h = 1.06 * scale * x.size ** (-0.2)
+    if not h > 0.0:  # a subnormal spread underflows in the variance or in the product
+        raise DegenerateSampleError(f"sample: scale {scale!r} is too small for a bandwidth")
+    return h
 
 
 def default_grid(x, h) -> Grid:

@@ -173,6 +173,13 @@ def test_constant_sample_exits_2_with_zero_scale(argv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("data error: sample: zero scale")
 
 
+def test_subnormal_spread_exits_2(tmp_path, capsys):
+    path = tmp_path / "tiny.csv"
+    path.write_text("value\n" + "0.0\n" * 4 + "5e-324\n")
+    assert main(["modes", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("data error: sample: scale 0.0 is too small")
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["bogus"]) == 1
     assert "usage error" in capsys.readouterr().err

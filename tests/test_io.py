@@ -1,10 +1,11 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import modality.io as io_mod
@@ -236,8 +237,9 @@ def test_each_cell_is_parsed_once(tmp_path, monkeypatch):
     rows = "".join(f"{v}\tname{i}\n" for i, v in enumerate(values))
     path = _write(tmp_path, "data.tsv", "value\tlabel\n" + rows)
     calls = []
-    parse = io_mod._parse_number
-    monkeypatch.setattr(io_mod, "_parse_number", lambda cell: calls.append(cell) or parse(cell))
+    # every conversion of a cell to a number in the reader goes through the module's name `float`
+    monkeypatch.setattr(io_mod, "float", lambda cell: calls.append(cell) or float(cell),
+                        raising=False)
     assert read_data(path).size == 11
     # the header check stops at the first name that is not a number, and the
     # text column after the selected one is never parsed
@@ -246,10 +248,19 @@ def test_each_cell_is_parsed_once(tmp_path, monkeypatch):
 
 # --- the one-pass reader against the two-pass rule it replaced ---------------
 
+def _old_table(path):
+    """``read_table``, but with JSON cells made as they were before they held numbers."""
+    if path.suffix != ".json":
+        return read_table(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))  # an object of arrays
+    return Table(column_names=tuple(payload), columns={
+        name: ["" if v is None else str(v) for v in cells] for name, cells in payload.items()})
+
+
 def _two_pass_read(path, column=None, return_all=False):
     """``read_data`` by the two-pass rule: pick the columns whose non-empty
     cells are at least 90% finite numbers, then parse the chosen ones again."""
-    table = read_table(path)
+    table = _old_table(path)
     origin = path.name
 
     def number(cell):
@@ -293,7 +304,10 @@ def _two_pass_read(path, column=None, return_all=False):
 
 
 def _outcome(read, path, **kwargs):
-    """What a reader returns or raises, and the warnings it gives, as plain values."""
+    """What a reader returns or raises, and the warnings it gives, as plain values.
+
+    Samples are compared by their bytes, which also tells -0.0 from 0.0.
+    """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -301,25 +315,33 @@ def _outcome(read, path, **kwargs):
         except ModalityError as e:
             result = (type(e), str(e))
     if isinstance(result, np.ndarray):
-        result = result.tolist()
+        result = result.tobytes()
     elif isinstance(result, list):
-        result = [(name, sample.tolist()) for name, sample in result]
+        result = [(name, sample.tobytes()) for name, sample in result]
     return result, [(w.category, str(w.message)) for w in caught]
 
 
 _NUMBER = st.one_of(st.integers(-99, 99).map(str), st.floats(-1e6, 1e6).map(repr))
 _NUMERIC_CELL = st.one_of(_NUMBER, _NUMBER.map(lambda s: f"  {s} "))
-_ODD_CELL = st.sampled_from(["", "   ", "inf", "-inf", "nan", "1e400", "n/a", "abc"])
+_ODD_CELL = st.sampled_from(["", "   ", "inf", "-inf", "nan", "1e400", "n/a", "abc", "1_000",
+                             "\u0661\u0662\u0663", "+.5", "5.", "1e-400", "-0.0", "0x10", "True"])
 _ANY_CELL = st.one_of(_NUMERIC_CELL, _ODD_CELL)
+_TEXT_POOLS = [_NUMERIC_CELL, _ANY_CELL, _ODD_CELL]
+
+# JSON cells are written as JSON text: a number, a string, or one of the other values
+_JSON_ONLY = st.sampled_from(["true", "false", "null", "NaN", "Infinity", "1" + "0" * 400,
+                              "0", "0.0", "-0", "-0.0", '" 4 "', "[1]"])
+_JSON_NUMERIC = st.one_of(_NUMBER, _NUMERIC_CELL.map(json.dumps))
+_JSON_ODD = st.one_of(_ODD_CELL.map(json.dumps), _JSON_ONLY)
+_JSON_POOLS = [_JSON_NUMERIC, st.one_of(_JSON_NUMERIC, _JSON_ODD), _JSON_ODD]
 
 
 @st.composite
-def _tables(draw):
-    """Column names (None for a headerless table) and columns of string cells."""
+def _tables(draw, pools):
+    """Column names (None for a headerless table) and columns of cells."""
     width, height = draw(st.integers(1, 4)), draw(st.integers(1, 12))
     columns = [
-        draw(st.lists(draw(st.sampled_from([_NUMERIC_CELL, _ANY_CELL, _ODD_CELL])),
-                      min_size=height, max_size=height))
+        draw(st.lists(draw(st.sampled_from(pools)), min_size=height, max_size=height))
         for _ in range(width)
     ]
     names = draw(st.one_of(st.none(), st.lists(
@@ -329,9 +351,10 @@ def _tables(draw):
 
 
 def _table_text(ext, names, columns):
-    if ext == ".json":
+    if ext == ".json":  # the cells are JSON text already
         keys = names or [f"col{i}" for i in range(len(columns))]
-        return json.dumps(dict(zip(keys, columns)))
+        fields = (f"{json.dumps(k)}: [{', '.join(cells)}]" for k, cells in zip(keys, columns))
+        return "{" + ", ".join(fields) + "}"
     rows = ([names] if names else []) + [list(row) for row in zip(*columns)]
     if ext == ".md":
         lines = ["| " + " | ".join(row) + " |" for row in rows]
@@ -340,12 +363,123 @@ def _table_text(ext, names, columns):
 
 
 @settings(max_examples=100, deadline=None)
-@given(table=_tables(), pick=st.sampled_from(["a", "value", "col0", "col1", "missing"]))
-def test_one_pass_matches_two_pass_rule(tmp_path_factory, table, pick):
+@given(table=_tables(_TEXT_POOLS), json_table=_tables(_JSON_POOLS),
+       pick=st.sampled_from(["a", "value", "col0", "col1", "missing"]))
+def test_one_pass_matches_two_pass_rule(tmp_path_factory, table, json_table, pick):
     folder = tmp_path_factory.mktemp("one_pass")
     for ext in (".csv", ".tsv", ".md", ".json"):
         path = folder / f"table{ext}"
-        path.write_text(_table_text(ext, *table), encoding="utf-8")
+        path.write_text(_table_text(ext, *(json_table if ext == ".json" else table)),
+                        encoding="utf-8")
         for kwargs in ({}, {"column": pick}, {"return_all": True},
                        {"column": pick, "return_all": True}):
             assert _outcome(read_data, path, **kwargs) == _outcome(_two_pass_read, path, **kwargs)
+
+
+# --- the bulk Markdown splitter against the per-row parser it replaced -------
+
+_PIPE = re.compile(r"(?<!\\)\|")  # a cell boundary: a pipe not escaped as \|
+
+
+def _split_pipe_row(line):
+    parts = _PIPE.split(line)
+    stripped = line.strip()
+    if stripped.startswith("|"):
+        parts = parts[1:]
+    if stripped.endswith("|") and not stripped.endswith("\\|"):
+        parts = parts[:-1]
+    return [p.replace("\\|", "|").strip() for p in parts]
+
+
+def parse_markdown_by_rows(text):
+    """``parse_markdown_table`` as it was written before the bulk split: a regex split per row."""
+    lines = text.splitlines()
+    header_at = next((i for i, line in enumerate(lines) if "|" in line and line.strip()), None)
+    if header_at is None:
+        raise DataFormatError("markdown: no pipe table found")
+    names = _split_pipe_row(lines[header_at])
+    if header_at + 1 >= len(lines):
+        raise DataFormatError("markdown: missing delimiter row", line=header_at + 2)
+    delim_cells = _split_pipe_row(lines[header_at + 1])
+    if not delim_cells or not all(re.match(r"^:?-+:?$", c) for c in delim_cells):
+        raise DataFormatError("markdown: malformed delimiter row", line=header_at + 2)
+    rows = []
+    for line in lines[header_at + 2:]:
+        if "|" not in line or not line.strip():
+            break
+        rows.append(_split_pipe_row(line))
+    if not rows:
+        raise DataFormatError("markdown: table has no data rows", line=header_at + 3)
+    rows = [r for r in rows if any(r)]
+    columns = {n: [r[i] if i < len(r) else "" for r in rows] for i, n in enumerate(names)}
+    return Table(column_names=tuple(names), columns=columns)
+
+
+_MD_CELL = st.sampled_from(["", " ", "1", "-2.5", " 3e4 ", "a", "x y", "a\\|b", "\\|", "c\\|",
+                            "\\|d", "e\\", "\\\\", "\u3000f\t", "|"])
+_MD_PAD = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def _md_rows(draw, width):
+    """Pipe-table lines of up to ``width + 2`` cells, each with or without outer pipes."""
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        cells = draw(st.lists(_MD_CELL, max_size=width + 2))
+        lead, trail = draw(st.booleans()), draw(st.booleans())
+        row = ("|" if lead else "") + "|".join(cells) + ("|" if trail else "")
+        rows.append(draw(_MD_PAD) + row + draw(_MD_PAD))
+    return rows
+
+
+@st.composite
+def _markdown_texts(draw):
+    """Irregular pipe tables, with prose around them and a blank line or prose after."""
+    width = draw(st.integers(1, 4))
+    names = draw(st.lists(st.sampled_from(["a", "b", " c ", "2020", "x\\|y", ""]),
+                          min_size=1, max_size=width, unique=True))
+    header = ("| " if draw(st.booleans()) else "") + " | ".join(names) + draw(
+        st.sampled_from([" |", "", " \\|"]))
+    delimiter = draw(st.sampled_from(["|---" * width + "|", ":-:|" * width, "|--:" * width,
+                                      "|-|x|", "", "|"]))
+    body = draw(_md_rows(width))
+    if draw(st.booleans()):  # all-empty rows and a row empty but for an extra cell
+        body.insert(draw(st.integers(0, len(body))), "|" * draw(st.integers(1, width + 2)))
+        body.insert(draw(st.integers(0, len(body))), "|" * (width + 1) + " z |")
+    before = draw(st.sampled_from([[], ["intro text", ""]]))
+    after = draw(st.sampled_from([[], [""], ["more text"], ["", "| 9 | 9 |"]]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(before + [header, delimiter] + body + after)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except DataFormatError as e:
+        return (type(e), str(e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_markdown_texts())
+@example(text="|a|b|\n|-|-|\n|1\\||2|\n|3|4\\|\n")  # an escaped pipe ends a cell, and a row
+@example(text="a | b\n--|--\n1 | 2\n| 3 | 4 |\n5|\n|6\n")  # rows with and without outer pipes
+@example(text="|a|b|c|\n|-|-|-|\n|1|\n|1|2|3|4|5|\n")  # a short row and a long row
+@example(text="|a|b|\n|-|-|\n| | | x |\n| | |\n|\n||\n|7|8|\n")  # an extra cell keeps a row
+@example(text="|a|\n|-|\n|1|\n\n|2|\n")  # a blank line ends the table
+@example(text="|a|\n|-|\n|1|\nprose\n|2|\n")  # and so does prose
+@example(text="|\n|-|\n|1|\n")  # a header that is one pipe has no cells
+@example(text="|a|\n\n|1|\n")  # an empty delimiter row
+def test_markdown_bulk_split_matches_per_row_parser(text):
+    assert _parsed(parse_markdown_table, text) == _parsed(parse_markdown_by_rows, text)
+
+
+def test_json_cells_keep_numbers(tmp_path):
+    text = '{"v": [1, 2.5, -0.0, null, true, "3", " 4 ", [1], 1' + "0" * 400 + "]}"
+    table = read_table(_write(tmp_path, "data.json", text))
+    assert table.columns["v"] == [1, 2.5, -0.0, "", "True", "3", " 4 ", "[1]", 10**400]
+    assert [type(c) for c in table.columns["v"][:3]] == [int, float, float]
+    with pytest.warns(UserWarning, match="dropped 3"):  # True, [1] and 10**400
+        out = read_data(_write(tmp_path, "data.json", text), column="v")
+    assert out.tobytes() == np.array([-0.0, 1.0, 2.5, 3.0, 4.0]).tobytes()
+    flat = read_table(_write(tmp_path, "flat.json", "[0, 0.0, false, null]"))
+    assert flat.columns == {"values": [0, 0.0, "False", ""]}

@@ -55,6 +55,12 @@ def test_silverman_degenerate_inputs():
             silverman_bandwidth(x)
 
 
+def test_silverman_subnormal_scale_is_degenerate():
+    for x in ([0.0, 5e-324], [0.0] * 4 + [5e-324], [0.0] * 4 + [1e-300]):
+        with pytest.raises(DegenerateSampleError, match="sample: scale 0.0 is too small"):
+            silverman_bandwidth(x)
+
+
 def test_silverman_zero_iqr_falls_back_to_sd():
     # heavy ties: IQR 0 but spread present; the rule must stay positive
     x = np.array([1.0] * 8 + [0.0, 2.0])

@@ -10,6 +10,7 @@ import modality
 from modality import (
     CIUnreliableError,
     CritBandResult,
+    DegenerateSampleError,
     MixtureSpec,
     ValidationError,
     bimodality_strength,
@@ -125,6 +126,8 @@ def test_degenerate_inputs_rejected():
             critical_bandwidth(x, k=2)
     with pytest.raises(ValidationError):
         critical_bandwidth(np.arange(10.0), k=0)
+    with pytest.raises(DegenerateSampleError, match="scale 0.0 is too small"):  # subnormal spread
+        critical_bandwidth([0.0] * 4 + [5e-324], k=2)
 
 
 def test_ci_point_estimate_independent_of_ci_machinery(well_separated):
