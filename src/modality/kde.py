@@ -11,16 +11,22 @@ for bit its ``kde_fft``, and so do the solver's lockstep steps (interval
 replicates, table2 seeds); a step with one live search calls ``kde_fft``.
 ``kde_direct`` is the exact O(n*g) direct sum, kept as the oracle the
 engine is tested against.
+
+The padded transform length m is the package's own ``_next_fast_len``, a
+lookup in a table of 11-smooth lengths, not SciPy's ``next_fast_len``:
+m sets every density's rounding, and SciPy documents that its choice
+may change between versions. Owning it pins m for every target, and
+keeps ``scipy.fft`` out of the package.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import DegenerateSampleError, GridSpanError, ValidationError
 
@@ -66,6 +72,49 @@ _EXP_UNDERFLOW = 746.0
 _NEGATIVE_CLAMP_RATIO = 1e-12
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+# Padded lengths are looked up among the 11-smooth integers up to this
+# (3 608 of them, built at import in about 1 ms).
+_FAST_LENGTHS_MAX = 1 << 22
+
+# The largest target with a length: no FFT is this long (SciPy stops at
+# about 2^60.5), and twice it fits in an int64.
+_MAX_TARGET = 1 << 61
+
+
+def _smooth_lengths(limit: int) -> list[int]:
+    """The integers up to ``limit`` (< 2^63) with no prime factor above 11, ascending."""
+    lengths = np.ones(1, dtype=np.int64)
+    for p in (2, 3, 5, 7, 11):
+        multiples = [lengths]
+        power = p
+        while power <= limit:
+            multiples.append(lengths[lengths <= limit // power] * power)
+            power *= p
+        lengths = np.concatenate(multiples)
+    return np.sort(lengths).tolist()
+
+
+_FAST_LENGTHS = _smooth_lengths(_FAST_LENGTHS_MAX)
+
+
+def _next_fast_len(target: int) -> int:
+    """The smallest 11-smooth integer >= ``target`` (>= 1): a length that
+    NumPy's FFT transforms quickly, and SciPy's ``next_fast_len(target)``.
+
+    A target beyond the table, which only a grid of millions of points or
+    a bandwidth of hundreds of thousands of grid steps reaches, is looked
+    up in a table built up to twice the target, which holds a power of
+    two >= the target. A target above ``_MAX_TARGET``
+    (2^61) raises ``ValueError``.
+    """
+    if target <= _FAST_LENGTHS_MAX:
+        lengths = _FAST_LENGTHS
+    elif target <= _MAX_TARGET:
+        lengths = _smooth_lengths(2 * target)
+    else:
+        raise ValueError(f"transform length: target {target} is too large for an FFT")
+    return lengths[bisect.bisect_left(lengths, target)]
 
 
 def as_sample(values, min_size: int = 1) -> np.ndarray:
@@ -234,7 +283,7 @@ def _kernel_plan(h: float, spacing: float, size: int) -> tuple[float, int, int]:
     and the padded transform length for a grid of ``size`` points."""
     r = h / spacing
     half_width = math.ceil(_KERNEL_SUPPORT_BANDWIDTHS * r)
-    return r, half_width, next_fast_len(size + half_width)
+    return r, half_width, _next_fast_len(size + half_width)
 
 
 def _kernel_transform(r: float, half_width: int, m: int) -> np.ndarray:

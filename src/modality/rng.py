@@ -8,7 +8,10 @@ seed reproduces bit-identical results across platforms and runs:
 * Uniforms: 53-bit integers mapped to the open interval (0, 1) via
   ``(k + 0.5) / 2**53``, so transforms below never see 0 or 1.
 * Normals: inverse normal CDF applied to those uniforms (no ziggurat or
-  rejection step, hence a fixed draw count per variate).
+  rejection step, hence a fixed draw count per variate). The inverse CDF
+  is SciPy's ``ndtri``, imported on the first draw rather than with the
+  package, so only paths that draw normals (mixture sampling, the
+  Silverman test) load ``scipy.special``.
 
 Independent consumers (mixture sampling, bootstrap replicate *i*, ...)
 derive their own stream from ``(seed, purpose tag, index)``, which keeps
@@ -17,11 +20,11 @@ replicate streams independent of evaluation order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ValidationError
 
@@ -73,9 +76,20 @@ def random_open01(rng: np.random.Generator, size: int) -> np.ndarray:
     return (k.astype(np.float64) + 0.5) * 2.0**-53
 
 
+@functools.cache
+def _ndtri():
+    """SciPy's inverse normal CDF, imported on the first draw.
+
+    Cached, because a function-local import statement costs more per draw
+    than this call does.
+    """
+    from scipy.special import ndtri
+    return ndtri
+
+
 def standard_normals(rng: np.random.Generator, size: int) -> np.ndarray:
     """Standard normal draws via the inverse-CDF transform."""
-    return ndtri(random_open01(rng, size))
+    return _ndtri()(random_open01(rng, size))
 
 
 @dataclass(frozen=True)

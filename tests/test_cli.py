@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -369,3 +371,34 @@ def test_benchmark_cli_writes_csv(tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert out.exists()
     assert out.read_text().splitlines()[0] == "n,seconds,h_crit"
+
+
+def _fresh_process(tmp_path, statement: str, *argv: str) -> tuple[bytes, list[str]]:
+    """Run ``statement`` in a fresh interpreter from the repository root, with the
+    package imported from this checkout; return its stdout and the ``scipy``
+    modules loaded when it ends, which it writes as JSON to a file of its own."""
+    root = Path(__file__).resolve().parents[1]
+    loaded = tmp_path / "scipy_modules.json"
+    code = (f"import json, sys; sys.path.insert(0, {str(root / 'src')!r}); {statement}; "
+            f"open({str(loaded)!r}, 'w').write(json.dumps("
+            "[m for m in sys.modules if m.partition('.')[0] == 'scipy']))")
+    done = subprocess.run([sys.executable, "-c", code, *argv], cwd=root, capture_output=True, check=True)
+    return done.stdout, json.loads(loaded.read_text())
+
+
+def test_import_loads_no_scipy(tmp_path):
+    # start-up imports no SciPy at all (so no scipy.optimize, scipy.fft or scipy.special)
+    assert _fresh_process(tmp_path, "import modality.cli") == (b"", [])
+
+
+@pytest.mark.parametrize("flags,golden", [
+    pytest.param([], "well_separated_n400_analyze.json", id="k2"),
+    # the interval resamples with integers and draws no normals
+    pytest.param(["--ci", "--resamples", "99"], "well_separated_n400_analyze_ci.json", id="ci"),
+])
+def test_analyze_in_a_fresh_process_loads_no_scipy(flags, golden, tmp_path):
+    data = Path("tests") / "data"
+    argv = ["analyze", str(data / "well_separated_n400.csv"), "--format", "json", *flags]
+    out, scipy_modules = _fresh_process(tmp_path, "from modality.cli import main; assert main(sys.argv[1:]) == 0", *argv)
+    assert out == (Path(__file__).resolve().parent / "data" / golden).read_bytes()
+    assert scipy_modules == []

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.fft import next_fast_len
 
 from modality import (
     DegenerateSampleError,
@@ -14,7 +13,15 @@ from modality import (
     sample_mixture,
     silverman_bandwidth,
 )
-from modality.kde import GRID_MAX_POINTS, GRID_MIN_POINTS, _default_grid, _kde_rows_at, _linear_bin
+from modality.kde import (
+    GRID_MAX_POINTS,
+    GRID_MIN_POINTS,
+    _FAST_LENGTHS,
+    _default_grid,
+    _kde_rows_at,
+    _linear_bin,
+    _next_fast_len,
+)
 
 
 def _hand_silverman(x):
@@ -181,6 +188,39 @@ def test_fft_matches_direct_at_former_switch(n):
     assert np.max(np.abs(fft.density - direct.density)) / direct.density.max() <= 1e-4
 
 
+def test_next_fast_len_equals_scipy():
+    # the package's padded lengths are SciPy's: every target up to 2^16,
+    # every table length and its neighbours up to 2^22, random targets in
+    # between, and targets above the table up to about SciPy's largest
+    from scipy.fft import next_fast_len
+
+    table = np.array(_FAST_LENGTHS)
+    targets = np.concatenate([
+        np.arange(1, 2**16 + 1),
+        table, table - 1, table + 1,
+        np.random.default_rng(0).integers(2**16, 2**22, 5_000, endpoint=True),
+        [2**22 + 1, 4_199_041, 10**7 + 1, 3**15, 2**40 + 1, 10**18 + 1],
+    ])
+    targets = [t for t in targets.tolist() if t >= 1]
+    assert [_next_fast_len(t) for t in targets] == [next_fast_len(t) for t in targets]
+
+
+@pytest.mark.parametrize("target,length", [
+    (1, 1), (13, 14), (801, 810), (1201, 1210), (2001, 2016), (5001, 5040), (9999, 10000),
+    (10007, 10080), (65537, 65610), (4194303, 4194304), (4194304, 4194304), (4194305, 4199040),
+    (10**12 + 1, 1000010753280), (2**61, 2**61),
+])
+def test_next_fast_len_pinned(target, length):
+    # every density's rounding follows m, so m may not follow the installed SciPy
+    assert _next_fast_len(target) == length
+
+
+def test_next_fast_len_rejects_a_target_no_fft_reaches():
+    # above 2^61 the lookup table would not fit in int64, nor any transform in memory
+    with pytest.raises(ValueError, match="too large for an FFT"):
+        _next_fast_len(2**61 + 1)
+
+
 def _sampled_kernel_kde(x, grid, h):
     """Reference: convolution with the sampled kernel, truncated at 6h and
     transformed by FFT, on the grid padded by that reach on both sides."""
@@ -188,7 +228,7 @@ def _sampled_kernel_kde(x, grid, h):
     half_width = int(np.ceil(6.0 * h / grid.spacing))
     offsets = np.arange(-half_width, half_width + 1) * grid.spacing
     kernel = np.exp(-0.5 * (offsets / h) ** 2) / (h * np.sqrt(2.0 * np.pi))
-    m = next_fast_len(grid.size + 2 * half_width)
+    m = _next_fast_len(grid.size + 2 * half_width)
     conv = np.fft.irfft(np.fft.rfft(counts, m) * np.fft.rfft(kernel, m), m)
     return conv[half_width : half_width + grid.size] / len(x)
 
@@ -237,7 +277,7 @@ def test_kde_fft_transform_count_and_length(r, transforms, monkeypatch):
     for name in ("rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     kde_fft(x, grid, h)
-    assert lengths == [next_fast_len(grid.size + int(np.ceil(6.0 * r)))] * transforms
+    assert lengths == [_next_fast_len(grid.size + int(np.ceil(6.0 * r)))] * transforms
 
 
 @pytest.mark.parametrize("h", [0.01, 0.3, 1.86])
@@ -258,7 +298,7 @@ def test_block_densities_equal_kde_fft(sample, h, request):
         grids = [_default_grid(row, h_row) for row, h_row in zip(block, hs)]
         steps = [h_row / grid.spacing for grid, h_row in zip(grids, hs)]
         assert min(steps) < 3.0 <= max(steps)
-        assert len({next_fast_len(grid.size + int(np.ceil(6.0 * r))) for grid, r in zip(grids, steps)}) > 1
+        assert len({_next_fast_len(grid.size + int(np.ceil(6.0 * r))) for grid, r in zip(grids, steps)}) > 1
         densities = _kde_rows_at(block, bandwidths)
         for row, grid, h_row, density in zip(block, grids, hs, densities):
             assert np.array_equal(density, kde_fft(row, grid, h_row).density)

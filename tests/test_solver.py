@@ -1,12 +1,8 @@
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import modality
 from modality import (
     CIUnreliableError,
     CritBandResult,
@@ -244,14 +240,6 @@ def test_tolerance_below_float_spacing_stops_unconverged(rel_tol, monkeypatch):
     assert not r.success
     assert r.iterations <= solver.MAX_ITER
     assert _count(x, r.h_crit) <= 1
-
-
-def test_import_does_not_load_scipy_optimize():
-    src = str(Path(modality.__file__).resolve().parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); import modality; "
-            "print('scipy.optimize' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
 
 
 def test_solver_pinned_answers(well_separated, trimodal):
