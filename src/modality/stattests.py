@@ -40,8 +40,9 @@ __all__ = [
 EXCESS_MASS_LEVELS = 200
 
 # A null row skips the dip walk when its Kolmogorov-Smirnov distance to the
-# uniform, enlarged by this relative margin for rounding, is below the dip.
-_KS_SCREEN_MARGIN = 1e-9
+# uniform, enlarged by this relative margin for rounding, is below the dip,
+# or when its dip floor is above the dip so enlarged.
+_SCREEN_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -269,8 +270,11 @@ def dip_test(x, resamples: int = 999, seed: int = 0) -> TestResult:
     to the nearest unimodal CDF, is at most its Kolmogorov-Smirnov
     distance to the uniform. A row whose KS distance, enlarged by a
     relative 1e-9 for rounding, is below the observed dip therefore
-    cannot count as an exceedance, and skips the walk; the p-value is
-    exactly the one walking every row gives.
+    cannot count as an exceedance, and skips the walk. A row whose dip
+    floor, a lower bound on its dip from chords across windows of its
+    points, is above the observed dip so enlarged counts as one, and
+    skips the walk too. Only the rows between the two bounds are walked,
+    and the p-value is exactly the one walking every row gives.
     """
     return _dip_test(as_sample(x, min_size=4), resamples, seed)
 
@@ -289,11 +293,67 @@ def _dip_test(x: np.ndarray, resamples: int, seed: int) -> TestResult:
             u[row] = random_open01(substream(seed, "dip", i), n)
         u.sort(axis=1)
         # dip <= KS: a row whose KS is below d cannot reach it
-        for row in np.flatnonzero(_ks_to_uniform(u) * (1.0 + _KS_SCREEN_MARGIN) >= d):
-            if _dip_of_sorted(u[row]) >= d:
+        u = u[_ks_to_uniform(u) * (1.0 + _SCREEN_MARGIN) >= d]
+        if not len(u):
+            continue
+        # dip >= floor: a row whose floor is above d reaches it
+        reach = _dip_floor(u, d) >= d * (1.0 + _SCREEN_MARGIN)
+        exceed += int(np.count_nonzero(reach))
+        for row in u[~reach]:
+            if _dip_of_sorted(row) >= d:
                 exceed += 1
     p = (1.0 + exceed) / (resamples + 1.0)
     return TestResult(statistic=d, p_value=p, resamples=resamples, method="dip")
+
+
+def _dip_floor(u: np.ndarray, d: float) -> np.ndarray:
+    """A lower bound on the dip of each sorted row of ``u``, over windows
+    wide enough to show that the dip reaches ``d``; 0 for a row with a tie.
+
+    Let G be unimodal with mode m and |F - G| <= e, F the ECDF of n
+    distinct points x_0 < ... < x_{n-1}. Left of m, G is convex, so for
+    x_a < x_i < x_b <= m it lies below its chord from G(x_a) <= a/n + e
+    to G(x_b-) <= b/n + e, while G(x_i) >= (i + 1)/n - e; with
+    k = i - a and l = (x_i - x_a)/(x_b - x_a), that gives
+    2ne >= 1 + k - (b - a) l. Right of m, G is concave, and for
+    m <= x_a it gives 2ne >= 1 - k + (b - a) l. These are the terms the
+    walk takes along its hull stretches. For a mode between x_q and
+    x_{q+1}, the dip is at least the largest convex term of the windows
+    [a, b] with b <= q and the largest concave term of those with
+    a > q; the floor is the least of these over q.
+
+    A window of w = b - a steps gives terms of at most w, so one narrower
+    than 2n d cannot show that a row reaches ``d``, and on uniform rows
+    one narrower than 4n d hardly ever does: w doubles from 4n d, each
+    size at four offsets a quarter window apart.
+    """
+    rows, n = u.shape
+    convex = np.zeros((rows, n + 1))  # column b + 1: windows ending at b
+    concave = np.zeros((rows, n + 1))  # column a: windows starting at a
+    w = max(2, int(4.0 * n * d))
+    while w < n:
+        share = np.arange(w) / w  # k / w
+        for start in sorted({w * j // 4 for j in range(4)}):
+            count = (n - 1 - start) // w
+            if count == 0:
+                continue
+            ends = start + w * np.arange(1, count + 1)
+            window = u[:, start : ends[-1]].reshape(rows, count, w)
+            xa = window[:, :, :1]
+            # lead = l - k / w at each point, in place: a convex term is
+            # 1 - w lead and a concave one 1 + w lead; l <= 1 cannot overflow
+            lead = window - xa
+            with np.errstate(divide="ignore", invalid="ignore"):  # tied rows: set to 0 below
+                lead /= u[:, ends, None] - xa
+            lead -= share
+            convex[:, ends + 1] = np.maximum(convex[:, ends + 1], 1.0 - w * lead.min(axis=2))
+            concave[:, ends - w] = np.maximum(concave[:, ends - w], 1.0 + w * lead.max(axis=2))
+        w *= 2
+    np.maximum.accumulate(convex, axis=1, out=convex)
+    np.maximum.accumulate(concave[:, ::-1], axis=1, out=concave[:, ::-1])
+    floor = np.maximum(convex, concave, out=convex).min(axis=1) / (2.0 * n)
+    floor[~(u[:, 1:] > u[:, :-1]).all(axis=1)] = 0.0  # a tie breaks the chord bound
+    return floor
 
 
 def _ks_to_uniform(u: np.ndarray) -> np.ndarray:

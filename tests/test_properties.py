@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from modality import count_modes, default_grid, dip_statistic, kde_fft
 from modality.kde import _kde_rows_at
-from modality.stattests import _KS_SCREEN_MARGIN, _dip_of_sorted, _ks_to_uniform
+from modality.stattests import _SCREEN_MARGIN, _dip_floor, _dip_of_sorted, _ks_to_uniform
 
 # integer samples, n in [2, 60]: a narrow value range forces heavy ties
 tied_samples = st.integers(2, 60).flatmap(
@@ -78,7 +78,20 @@ def test_dip_never_exceeds_the_ks_distance_to_the_uniform(values):
     up to rounding: dip_test may skip a null row whose KS distance, enlarged
     by the screen's margin, is below the observed dip."""
     u = np.sort(np.asarray(values))
-    assert _dip_of_sorted(u) <= _ks_to_uniform(u) * (1.0 + _KS_SCREEN_MARGIN)
+    assert _dip_of_sorted(u) <= _ks_to_uniform(u) * (1.0 + _SCREEN_MARGIN)
+
+
+@settings(max_examples=200, deadline=None)
+@given(open01_samples, st.floats(0.0, 0.05))
+def test_dip_floor_never_exceeds_the_dip(values, d):
+    """Up to rounding: dip_test counts a null row without its walk when the
+    row's floor is above the observed dip, enlarged by the screen's margin.
+    ``d`` sets the narrowest window; a row with a tie gets no floor."""
+    u = np.sort(np.asarray(values))
+    floor = _dip_floor(u[None], d)[0]
+    assert floor <= _dip_of_sorted(u) * (1.0 + _SCREEN_MARGIN)
+    if np.any(u[1:] == u[:-1]):
+        assert floor == 0.0
 
 
 @settings(max_examples=200, deadline=None)

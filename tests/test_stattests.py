@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from modality import (
 )
 from modality.benchmark import CASES, run_case
 from modality.errors import TestInconclusiveError as InconclusiveTestError
+from modality.io import read_data
 from modality.kde import _kde_at
-from modality.rng import random_open01, sample_mixture, substream
+from modality.rng import MixtureSpec, random_open01, sample_mixture, substream
 from modality.stattests import _hull_links, _interval_masses
 
 
@@ -217,6 +219,45 @@ def test_dip_test_walks_no_null_row_that_cannot_reach_the_dip(well_separated, mo
     result = dip_test(well_separated, resamples=199, seed=0)
     assert walks == [well_separated.size]
     assert result.p_value == 0.005
+
+
+@pytest.fixture
+def dip_walks(monkeypatch):
+    """The size of every sample the dip's hull walk sees while the test runs."""
+    walks = []
+    walk = stattests_mod._dip_of_sorted
+
+    def counting(x):
+        walks.append(x.size)
+        return walk(x)
+
+    monkeypatch.setattr(stattests_mod, "_dip_of_sorted", counting)
+    return walks
+
+
+def test_dip_test_walks_only_the_null_rows_its_bounds_leave_open(dip_walks):
+    # every null row's KS distance reaches the unimodal sample's dip, and
+    # most rows' floors do too: those count without a walk
+    x = read_data(Path(__file__).parent / "data" / "normal_n400.csv")
+    result = dip_test(x, resamples=199, seed=0)
+    u = np.sort([random_open01(substream(0, "dip", i), x.size) for i in range(199)], axis=1)
+    d = result.statistic
+    assert np.all(stattests_mod._ks_to_uniform(u) * (1.0 + stattests_mod._SCREEN_MARGIN) >= d)
+    settled = stattests_mod._dip_floor(u, d) >= d * (1.0 + stattests_mod._SCREEN_MARGIN)
+    assert settled.sum() > 140
+    assert dip_walks == [x.size] * (1 + 199 - settled.sum())
+
+
+@pytest.mark.parametrize("gap,n,decimals", [(0.0, 400, None), (1.5, 400, None), (2.0, 400, None),
+                                            (2.4, 400, None), (0.0, 30, None), (0.0, 200, 1)])
+def test_dip_floor_counts_each_row_as_its_walk_would(gap, n, decimals, monkeypatch):
+    # with every floor at 0, each row the KS screen lets through is walked;
+    # the answers are the same (rounded samples hold ties)
+    x = sample_mixture(MixtureSpec(((0.5, 0.0, 0.6), (0.5, gap, 0.6)), n), 1)
+    x = x if decimals is None else np.round(x, decimals)
+    screened = [dip_test(x, resamples=199, seed=seed) for seed in (0, 3)]
+    monkeypatch.setattr(stattests_mod, "_dip_floor", lambda u, d: np.zeros(len(u)))
+    assert [dip_test(x, resamples=199, seed=seed) for seed in (0, 3)] == screened
 
 
 def test_dip_statistic_ignores_input_order(well_separated):
