@@ -170,7 +170,7 @@ def cmd_test(args) -> int:
         result = _silverman_test(x, args.mod0, args.resamples, args.seed)
         null_desc = f"at most {args.mod0} mode(s)"
     elif args.method == "dip":
-        result = _dip_test(x, max(args.resamples, 199), args.seed)
+        result = _dip_test(x, args.resamples, args.seed)
         null_desc = "unimodal"
     else:
         curve = _excess_mass(x)

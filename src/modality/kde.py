@@ -134,6 +134,14 @@ def _check_size(x: np.ndarray, min_size: int) -> None:
         raise ValidationError(f"sample: need at least {min_size} observations, got {x.size}")
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Check that ``value``, the argument ``name``, is an integer of at least ``least``."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name}: must be an integer >= {least}, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{name}: must be >= {least}, got {value}")
+
+
 def _check_bandwidth(h) -> float:
     h = float(h)
     if not (math.isfinite(h) and h > 0.0):

@@ -1,15 +1,16 @@
 """Mode and trough detection on evaluated density curves.
 
-A mode is an interior strict local maximum of the curve, located at the
-midpoint of its run of tied values (a plateau, typically FFT roundoff);
-grid endpoints are never modes, since a maximum there is an artifact of
-grid truncation. Candidates under PROMINENCE_RATIO (1e-6) of the tallest
-value are dropped as floating-point micro-modes. Adjacent peaks then
-merge, shallowest first, while the valley between them is shallower than
-PROMINENCE_DEPTH_RATIO (0.8%) of the shorter peak or
-PROMINENCE_GLOBAL_RATIO (0.2%) of the tallest (``_shallow``, applied by
-``_merge_shallow_pairs``). The thresholds are module constants so that
-calibration sweeps can revisit them in one place.
+A mode candidate is a run of equal values (one point, or a plateau,
+typically FFT roundoff) entered by a rising step, left by a falling one,
+and at least PROMINENCE_RATIO (1e-6) of the tallest value, lower ones
+being floating-point micro-modes; so a grid endpoint, where a maximum is
+an artifact of grid truncation, is never a mode (``_candidate_runs``).
+Adjacent candidates then merge, shallowest first, while the valley
+between them is shallower than PROMINENCE_DEPTH_RATIO (0.8%) of the
+shorter peak or PROMINENCE_GLOBAL_RATIO (0.2%) of the tallest
+(``_shallow``, applied by ``_merge_shallow_pairs``); each survivor is a
+mode, located at the midpoint of its run. The thresholds are module
+constants so that calibration sweeps can revisit them in one place.
 """
 
 from __future__ import annotations
@@ -70,14 +71,6 @@ class Trough:
     ratio: float
 
 
-def _value_runs(density: np.ndarray):
-    """Compress consecutive exactly-equal values into (start, end, value) runs."""
-    boundaries = np.flatnonzero(density[1:] != density[:-1]) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries - 1, [density.size - 1]))
-    return starts, ends, density[starts]
-
-
 def _shallow(shorter, saddle, peak):
     """Whether adjacent peaks, the shorter one ``shorter`` high, have merged
     over ``saddle`` when the tallest value is ``peak``; elementwise."""
@@ -119,33 +112,45 @@ def _merge_shallow_pairs(heights: np.ndarray, saddles: np.ndarray, peak: float) 
     return keep
 
 
-def _mode_runs(density: np.ndarray):
-    """Interior local-maximum runs surviving the prominence cleanup.
+def _candidate_runs(density: np.ndarray):
+    """The mode candidates of a curve, or of each row of a (k, g) block.
 
-    Returns (start, end, height) arrays, one entry per mode; a plateau
-    contributes its full index range. A maximum run is entered by a
-    rising step and left by a falling one, so the first and last runs of
-    the curve are never candidates.
+    Returns (row, start, end, peaks): one entry per candidate run, row by
+    row and left to right, with ``start`` and ``end`` indexing the rows
+    laid end to end (for a curve, its own indices, all in row 0), and the
+    peak of each row.
     """
-    diffs = density[1:] - density[:-1]  # zero exactly where neighbours are equal
+    g = density.shape[-1]
+    curves = density.ravel()
+    diffs = curves[1:] - curves[:-1]  # zero exactly where neighbours are equal
     rising = diffs > 0.0
-    starts = np.flatnonzero(rising[:-1] & ~rising[1:]) + 1  # entered by a rise, not left by one
+    entered = rising[:-1] > rising[1:]  # entered[i]: point i + 1 is entered by a rise, not left by one
+    if density.ndim > 1:  # the step between two rows is neither's (a curve has no such step)
+        entered[g - 2 :: g] = entered[g - 1 :: g] = False
+    starts = entered.nonzero()[0] + 1
+    rows = starts // g
+    peaks = density.max(axis=-1, keepdims=density.ndim == 1)  # one per row; a curve is one row
+    prominent = curves[starts] >= PROMINENCE_RATIO * peaks[rows]
+    rows, starts = rows[prominent], starts[prominent]
     ends = starts
-    if (diffs[starts] == 0.0).any():
+    if not diffs[starts].all():
         # some of them are plateaus: each ends at the next nonzero step,
-        # and is a maximum only if that step falls
-        steps = np.flatnonzero(diffs)
-        after = np.searchsorted(steps, starts)
-        closed = after < steps.size  # a plateau reaching the last point is no maximum
-        starts, ends = starts[closed], steps[after[closed]]
-        falls = diffs[ends] < 0.0
-        starts, ends = starts[falls], ends[falls]
+        # and is a maximum only if that step falls inside its row
+        steps = diffs.nonzero()[0]
+        ends = np.append(steps, curves.size - 1)[np.searchsorted(steps, starts)]
+        maxima = (ends < (rows + 1) * g - 1) & (diffs.take(ends, mode="clip") < 0.0)
+        rows, starts, ends = rows[maxima], starts[maxima], ends[maxima]
+    return rows, starts, ends, peaks
+
+
+def _mode_runs(density: np.ndarray):
+    """(start, end, height) of each mode of a curve, a plateau by its full
+    index range: the curve's candidate runs after ``_merge_shallow_pairs``."""
+    _, starts, ends, peaks = _candidate_runs(density)
     heights = density[starts]
-    peak = float(density.max())  # a Python float keeps the merge loop's scalar tests cheap
-    prominent = heights >= PROMINENCE_RATIO * peak
-    starts, ends, heights = starts[prominent], ends[prominent], heights[prominent]
     if starts.size > 1:
-        keep = _merge_shallow_pairs(heights, _saddles(density, ends[:-1], starts[1:]), peak)
+        # a Python float peak keeps the merge loop's scalar tests cheap
+        keep = _merge_shallow_pairs(heights, _saddles(density, ends[:-1], starts[1:]), float(peaks[0]))
         starts, ends, heights = starts[keep], ends[keep], heights[keep]
     return starts, ends, heights
 
@@ -154,37 +159,25 @@ def _at_most_modes(density: np.ndarray, m: int) -> np.ndarray:
     """Whether each row of a (k, g) block of curves has at most ``m`` modes.
 
     Exactly ``_mode_runs(row)[0].size <= m`` for every row, decided for the
-    whole block from the candidates ``_mode_runs`` starts from: the points
-    entered by a rise and not left by one that reach PROMINENCE_RATIO of
-    the row's peak. Later steps only drop or merge candidates, so a row
-    with at most ``m`` of them has at most ``m`` modes. Rows with a plateau
-    candidate go to ``_mode_runs``; in the others every candidate is a
-    single point, so with no shallow pair each is a mode, and otherwise
-    ``_merge_shallow_pairs`` runs on the row's heights and saddles.
+    whole block from its candidate runs. The merge only drops candidates,
+    so a row with at most ``m`` of them has at most ``m`` modes; in a row
+    with more and no shallow pair every candidate is a mode; the other
+    rows run ``_merge_shallow_pairs`` on their heights and saddles.
     """
-    diffs = density[:, 1:] - density[:, :-1]  # as in _mode_runs
-    rising = diffs > 0.0
-    peaks = density.max(axis=1)
-    candidates = rising[:, :-1] & ~rising[:, 1:]
-    candidates &= density[:, 1:-1] >= PROMINENCE_RATIO * peaks[:, None]
-    at_most = candidates.sum(axis=1) <= m
-    plateau = (candidates & (diffs[:, 1:] == 0.0)).any(axis=1)
-    for i in np.flatnonzero(~at_most & plateau):
-        at_most[i] = _mode_runs(density[i])[0].size <= m
-    open_rows = np.flatnonzero(~at_most & ~plateau)
-    peaks = peaks[open_rows]
-    row, col = np.nonzero(candidates[open_rows])
-    at = row * density.shape[1] + col + 1  # each candidate's index in the rows laid end to end
-    curves = density[open_rows].ravel()
-    heights = curves[at]
-    saddles = _saddles(curves, at[:-1], at[1:])  # the one after a row's last candidate is no pair's
-    shallow = (row[1:] == row[:-1]) & _shallow(
-        np.minimum(heights[:-1], heights[1:]), saddles, peaks[row[:-1]])
-    first = np.searchsorted(row, np.arange(open_rows.size + 1))  # row r: first[r]:first[r + 1]
-    for r in np.unique(row[:-1][shallow]):
+    rows, starts, ends, peaks = _candidate_runs(density)
+    at_most = np.bincount(rows, minlength=density.shape[0]) <= m
+    more = ~at_most[rows]
+    rows, starts, ends = rows[more], starts[more], ends[more]
+    curves = density.ravel()
+    heights = curves[starts]
+    saddles = _saddles(curves, ends[:-1], starts[1:])  # the one after a row's last candidate is no pair's
+    shallow = (rows[1:] == rows[:-1]) & _shallow(
+        np.minimum(heights[:-1], heights[1:]), saddles, peaks[rows[:-1]])
+    first = np.searchsorted(rows, np.arange(density.shape[0] + 1))  # row r: first[r]:first[r + 1]
+    for r in np.unique(rows[:-1][shallow]):
         lo, hi = first[r], first[r + 1]
         keep = _merge_shallow_pairs(heights[lo:hi], saddles[lo : hi - 1], float(peaks[r]))
-        at_most[open_rows[r]] = len(keep) <= m
+        at_most[r] = len(keep) <= m
     return at_most
 
 
@@ -220,12 +213,12 @@ def _trough_of_curve(curve: DensityCurve, mode_runs) -> Trough:
     lo, hi = ends[i] + 1, starts[j]  # strictly between the flanking runs
     density = curve.density
     segment = density[lo:hi]
-    valley_value = segment.min()
     # midpoint of the first run attaining the minimum, for symmetry
-    vstarts, vends, vvalues = _value_runs(segment)
-    run = np.flatnonzero(vvalues == valley_value)[0]
+    first = int(segment.argmin())
+    valley_value = segment[first]
+    last = first + int(np.argmax(np.append(segment[first:], np.inf) > valley_value)) - 1
     pts = curve.grid.points
-    location = 0.5 * (pts[lo + vstarts[run]] + pts[lo + vends[run]])
+    location = 0.5 * (pts[lo + first] + pts[lo + last])
     ratio = float(valley_value / max(modes.heights[i], modes.heights[j]))
     return Trough(location=float(location), height=float(valley_value), ratio=ratio)
 

@@ -29,8 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CIUnreliableError, ValidationError
-from .kde import _block_rows, _check_size, _grid_size, _kde_at, _kde_rows_at, _silverman_bandwidth, as_sample
+from .errors import CIUnreliableError
+from .kde import _block_rows, _check_count, _check_size, _grid_size, _kde_at, _kde_rows_at, _silverman_bandwidth, as_sample
 from .modes import _at_most_modes, count_modes
 from .rng import derive_seed, resample_with_replacement
 
@@ -151,8 +151,7 @@ def _solve(x: np.ndarray, k: int, modes_at_h0: int | None = None) -> CritBandRes
     """:func:`critical_bandwidth` of a validated, sorted sample, with its size
     and ``k`` checked; ``modes_at_h0`` seeds the search, as in :func:`_search`."""
     _check_size(x, 3)
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise ValidationError(f"k: must be an integer >= 1, got {k!r}")
+    _check_count("k", k, 1)
     return _solve_each([(x, modes_at_h0)], k)[0]
 
 
@@ -224,8 +223,7 @@ def critical_bandwidth_ci(x, k: int = 2, resamples: int | None = None,
 def _bootstrap(x: np.ndarray, point: CritBandResult, resamples: int, seed: int) -> CritBandResult:
     """``point``, the solve on the validated sample ``x``, with the interval
     of :func:`critical_bandwidth_ci` from ``resamples`` replicates."""
-    if resamples < 99:
-        raise ValidationError(f"resamples: must be >= 99, got {resamples}")
+    _check_count("resamples", resamples, 99)
     replicates = (resample_with_replacement(x, derive_seed(seed, "ci", i)) for i in range(resamples))
     solved = _solve_each(((y, None) for y in replicates if y[0] != y[-1]), point.k)
     values = [r.h_crit for r in solved if r.success]

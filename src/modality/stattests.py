@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TestInconclusiveError, ValidationError
-from .kde import _blocks, _check_size, _grid_size, _kde_at, _kde_rows_at, _silverman_bandwidth, as_sample
+from .errors import TestInconclusiveError
+from .kde import _blocks, _check_count, _check_size, _grid_size, _kde_at, _kde_rows_at, _silverman_bandwidth, as_sample
 from .modes import _at_most_modes
 from .rng import random_open01, standard_normals, substream
 from .solver import _solve
@@ -99,10 +99,8 @@ def silverman_test(x, mod0: int = 1, resamples: int = 999, seed: int = 0) -> Tes
 def _silverman_test(x: np.ndarray, mod0: int, resamples: int, seed: int) -> TestResult:
     """:func:`silverman_test` of a validated, sorted sample."""
     _check_size(x, 10)
-    if not (isinstance(mod0, (int, np.integer)) and mod0 >= 1):
-        raise ValidationError(f"mod0: must be an integer >= 1, got {mod0!r}")
-    if resamples < 99:
-        raise ValidationError(f"resamples: must be >= 99, got {resamples}")
+    _check_count("mod0", mod0, 1)
+    _check_count("resamples", resamples, 99)
 
     solved = _solve(x, mod0 + 1)
     if not solved.success:
@@ -203,28 +201,9 @@ def _dip_of_sorted(x: np.ndarray) -> float:
         if d < best:
             break
 
-        # deviations of the ECDF from each fit over the selected stretches;
-        # i counts points from the stretch start jb
-        dip_l = 0.0
-        for j in range(ig, l_gcm):
-            jb, je = gcm[j + 1], gcm[j]
-            xb = x[jb]
-            if je - jb > 1 and x[je] != xb:
-                c = (je - jb) / (x[je] - xb)
-                t = max(i + 1 - (xi - xb) * c for i, xi in enumerate(x[jb : je + 1]))
-                dip_l = max(dip_l, 1.0, t)
-            else:
-                dip_l = max(dip_l, 1.0)
-        dip_u = 0.0
-        for j in range(ih, l_lcm):
-            jb, je = lcm[j], lcm[j + 1]
-            xb = x[jb]
-            if je - jb > 1 and x[je] != xb:
-                c = (je - jb) / (x[je] - xb)
-                t = max((xi - xb) * c - (i - 1) for i, xi in enumerate(x[jb : je + 1]))
-                dip_u = max(dip_u, 1.0, t)
-            else:
-                dip_u = max(dip_u, 1.0)
+        # deviations of the ECDF from each fit over the selected stretches
+        dip_l = _stretch_dip(x, zip(gcm[ig + 1 :], gcm[ig:l_gcm]), upper=False)
+        dip_u = _stretch_dip(x, zip(lcm[ih:l_lcm], lcm[ih + 1 :]), upper=True)
 
         best = max(best, dip_l, dip_u)
         if low == gcm[ig] and high == lcm[ih]:
@@ -233,6 +212,24 @@ def _dip_of_sorted(x: np.ndarray) -> float:
         high = lcm[ih]
 
     return best / (2.0 * n)
+
+
+def _stretch_dip(x: list[float], stretches, upper: bool) -> float:
+    """Largest gap between the ECDF and the concave majorant above it (``upper``)
+    or the convex minorant below it, over the hull's ``(jb, je)`` stretches."""
+    dip = 0.0
+    for jb, je in stretches:
+        xb = x[jb]
+        if je - jb > 1 and x[je] != xb:
+            c = (je - jb) / (x[je] - xb)  # i below counts points from the stretch start jb
+            if upper:
+                t = max((xi - xb) * c - (i - 1) for i, xi in enumerate(x[jb : je + 1]))
+            else:
+                t = max(i + 1 - (xi - xb) * c for i, xi in enumerate(x[jb : je + 1]))
+            dip = max(dip, 1.0, t)
+        else:
+            dip = max(dip, 1.0)
+    return dip
 
 
 def _hull_links(x: list[float], order: range) -> list[int]:
@@ -282,8 +279,7 @@ def dip_test(x, resamples: int = 999, seed: int = 0) -> TestResult:
 def _dip_test(x: np.ndarray, resamples: int, seed: int) -> TestResult:
     """:func:`dip_test` of a validated, sorted sample."""
     _check_size(x, 4)
-    if resamples < 199:
-        raise ValidationError(f"resamples: must be >= 199, got {resamples}")
+    _check_count("resamples", resamples, 199)
     d = _dip_of_sorted(x)
     n = x.size
     exceed = 0

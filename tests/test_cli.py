@@ -204,6 +204,13 @@ def test_test_dip_on_normal_fails_to_reject(normal_csv, capsys):
     assert report["conclusion"].startswith("fail to reject")
 
 
+@pytest.mark.parametrize("method, resamples, least", [("silverman", 50, 99), ("dip", 100, 199)])
+def test_test_resamples_below_the_least_is_a_data_error(normal_csv, capsys, method, resamples, least):
+    # the CLI passes the user's count through, as the library call would take it
+    assert main(["test", str(normal_csv), "--method", method, "--resamples", str(resamples)]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: resamples: must be >= {least}, got {resamples}")
+
+
 def test_test_excess_reports_delta(wellsep_csv, capsys):
     assert main(["test", str(wellsep_csv), "--method", "excess",
                  "--format", "json"]) == 0

@@ -157,6 +157,18 @@ def test_find_trough_lies_between_modes(trimodal):
     assert trough.height <= modes.heights.max()
 
 
+@pytest.mark.parametrize("values, location", [
+    ([0, 4, 1, 1, 2, 1, 4, 0], 2.5),  # a flat valley, the first of two minimal runs
+    ([0, 4, 4, 3, 1, 1, 4, 0], 4.5),  # the minimal run reaches the end of the segment
+])
+def test_trough_is_the_midpoint_of_the_first_minimal_run(values, location):
+    from modality.modes import _modes_of_curve, _trough_of_curve
+
+    curve = _curve(values, lo=0.0, hi=len(values) - 1.0)
+    trough = _trough_of_curve(curve, _modes_of_curve(curve))
+    assert (trough.location, trough.height, trough.ratio) == (location, 1.0, 0.25)
+
+
 def test_find_trough_requires_two_modes(normal_500):
     with pytest.raises(NotBimodalError):
         find_trough(normal_500, silverman_bandwidth(normal_500))
@@ -224,6 +236,10 @@ def test_mode_scan_matches_run_compression_on_tied_values(values):
 @example([0, 1000, 0, 1000, 0, 1000, 999, 1000, 0])  # 4 candidates, 3 modes
 # rows that reach the merge with 4, 4 and 3 candidates: rounding drops the bump of 4
 @example([0, 100000, 99500, 100000, 0, 4, 0, 100000, 0])
+@example([0, 1000, 0, 1000, 0, 1000, 0, 500, 500])  # a plateau still flat at the row's last point
+@example([0, 1000, 0, 1000, 0, 500, 500, 1000, 0])  # a plateau that rises again: a shoulder, no mode
+# the first row's flat 7, 7 runs on into the next row's, where it falls: no mode of either row
+@example([0, 1000, 0, 1000, 0, 1000, 0, 7, 7])
 def test_at_most_modes_equals_the_exact_count(values):
     # the block count must give each row's own _mode_runs answer, plateaus and shallow pairs included
     density = np.asarray(values, dtype=float)

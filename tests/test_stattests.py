@@ -353,6 +353,18 @@ def test_silverman_test_validation(normal_500):
         silverman_test(np.arange(5.0))
 
 
+@pytest.mark.parametrize("call", [
+    lambda x: silverman_test(x, resamples=199.0),
+    lambda x: dip_test(x, resamples=999.0),
+    lambda x: critical_bandwidth_ci(x, resamples=99.0),
+    lambda x: silverman_test(x, mod0=1.0),
+    lambda x: critical_bandwidth(x, k=2.0),
+], ids=["silverman-resamples", "dip-resamples", "ci-resamples", "mod0", "k"])
+def test_counts_that_are_not_integers_fail_with_a_typed_error(call, well_separated):
+    with pytest.raises(ValidationError, match="must be an integer >= "):
+        call(well_separated)
+
+
 def test_silverman_test_inconclusive_when_solver_fails():
     # two distinct values can never show three modes, so the mod0=2
     # statistic (the 3-to-2 merge bandwidth) does not exist
