@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import benchmark as bench
-from .decompose import _components_of_curve, _detect_components, _strength_of
+from .decompose import _components_of_curve, _strength_of, detect_components
 from .errors import (
     ModalityError,
     NotBimodalError,
@@ -28,11 +28,11 @@ from .errors import (
     TestInconclusiveError,
     ValidationError,
 )
-from .io import read_data
-from .kde import _kde_at, _silverman_bandwidth
+from .io import _read_numbers
+from .kde import _kde_at, _silverman_bandwidth, as_sample
 from .modes import _modes_of_curve
 from .solver import _bootstrap, _solve
-from .stattests import _dip_test, _excess_mass, _silverman_test
+from .stattests import dip_test, excess_mass, silverman_test
 
 __all__ = ["main"]
 
@@ -93,9 +93,8 @@ def _print_text(report: dict, indent: str = "") -> None:
 
 
 def _load(args) -> tuple[np.ndarray, dict]:
-    x = read_data(args.path, column=args.column)
-    descriptor = {"path": str(args.path), "column": args.column, "n": int(x.size)}
-    return x, descriptor
+    x = _read_numbers(args.path, column=args.column)
+    return x, {"path": str(args.path), "column": args.column, "n": int(x.size)}
 
 
 def _modes_payload(mode_set) -> dict:
@@ -116,7 +115,8 @@ def _decomposition_payload(decomp) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    x, descriptor = _load(args)  # validated and sorted, of size >= 2
+    x, descriptor = _load(args)
+    x = as_sample(x)  # at least 2 finite numbers from the reader, sorted once here
     h_silverman = _silverman_bandwidth(x)
 
     # the one curve at h0 gives the modes, the decomposition and the first
@@ -167,13 +167,13 @@ def cmd_analyze(args) -> int:
 def cmd_test(args) -> int:
     x, descriptor = _load(args)
     if args.method == "silverman":
-        result = _silverman_test(x, args.mod0, args.resamples, args.seed)
+        result = silverman_test(x, args.mod0, args.resamples, args.seed)
         null_desc = f"at most {args.mod0} mode(s)"
     elif args.method == "dip":
-        result = _dip_test(x, args.resamples, args.seed)
+        result = dip_test(x, args.resamples, args.seed)
         null_desc = "unimodal"
     else:
-        curve = _excess_mass(x)
+        curve = excess_mass(x)
         report = {
             "input": descriptor,
             "method": "excess_mass",
@@ -204,6 +204,7 @@ def cmd_test(args) -> int:
 
 def cmd_modes(args) -> int:
     x, descriptor = _load(args)
+    x = as_sample(x)
     h = args.bandwidth if args.bandwidth is not None else _silverman_bandwidth(x)
     mode_set = _modes_of_curve(_kde_at(x, h))[0]
     report = {"input": descriptor, "bandwidth": h, "modes": _modes_payload(mode_set)}
@@ -213,7 +214,7 @@ def cmd_modes(args) -> int:
 
 def cmd_decompose(args) -> int:
     x, descriptor = _load(args)
-    decomp = _detect_components(x)
+    decomp = detect_components(x)
     report = {"input": descriptor, "decomposition": _decomposition_payload(decomp)}
     _emit(report, args.format)
     return EXIT_OK

@@ -69,11 +69,7 @@ def detect_components(x) -> Decomposition:
     Side weights are exact sample fractions; a single-point side reports
     a standard deviation of zero.
     """
-    return _detect_components(as_sample(x, min_size=2))
-
-
-def _detect_components(x: np.ndarray) -> Decomposition:
-    """:func:`detect_components` of a validated, sorted sample of size >= 2."""
+    x = as_sample(x, min_size=2)
     curve = _kde_at(x, _silverman_bandwidth(x))
     return _components_of_curve(x, curve, _modes_of_curve(curve))
 

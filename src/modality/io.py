@@ -2,13 +2,14 @@
 
 Every reader funnels into the same two steps: parse the file into a
 :class:`Table` of raw cells, then coerce one column (or all numeric
-columns) into a validated, sorted sample. CSV, TSV and Markdown cells
-are strings; JSON cells keep the decoded numbers (``int`` and ``float``)
-and strings as they are, ``null`` is the empty cell, and any other value
-(``true``, ``false``, an array or an object) is its ``str()``. Parsing is
-pure per file content; format detection is by extension only. A file
-that cannot be opened, decoded or split into fields raises
-:class:`DataFormatError`.
+columns) into its finite numbers, which ``read_data`` validates and
+sorts, and which the CLI passes unsorted to the library call that does.
+CSV, TSV and Markdown cells are strings; JSON cells keep the decoded
+numbers (``int`` and ``float``) and strings as they are, ``null`` is the
+empty cell, and any other value (``true``, ``false``, an array or an
+object) is its ``str()``. Parsing is pure per file content; format
+detection is by extension only. A file that cannot be opened, decoded or
+split into fields raises :class:`DataFormatError`.
 
 Each column that is read is turned into numbers in one pass, and both
 the decision that it is numeric and its sample are taken from that
@@ -97,13 +98,10 @@ def _is_numeric(numeric: np.ndarray, dropped: int) -> bool:
 
 def _coerce_column(name: str, numeric: np.ndarray, dropped: int, origin: str) -> np.ndarray:
     if dropped:
-        warnings.warn(
-            f"{origin}: column {name!r}: dropped {dropped} non-numeric cell(s)",
-            stacklevel=3,
-        )
+        warnings.warn(f"{origin}: column {name!r}: dropped {dropped} non-numeric cell(s)", stacklevel=4)
     if numeric.size < 2:
         raise DataFormatError(f"{origin}: column {name!r}: fewer than 2 numeric values")
-    return as_sample(numeric)
+    return numeric
 
 
 def _gather_table(names: list[str], cells: np.ndarray, starts: np.ndarray,
@@ -276,6 +274,12 @@ def read_data(path, column: str | None = None, return_all: bool = False):
     ``[(name, sample), ...]`` for every numeric column instead. A file
     that cannot be read raises :class:`DataFormatError`.
     """
+    numbers = _read_numbers(path, column, return_all)
+    return [(name, as_sample(v)) for name, v in numbers] if return_all else as_sample(numbers)
+
+
+def _read_numbers(path, column: str | None = None, return_all: bool = False):
+    """:func:`read_data` short of ``as_sample``: the chosen columns' finite numbers, unsorted."""
     path = Path(path)
     table = read_table(path)
     origin = path.name

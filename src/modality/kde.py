@@ -22,6 +22,7 @@ keeps ``scipy.fft`` out of the package.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
 import operator
 from dataclasses import dataclass
@@ -72,6 +73,11 @@ _EXP_UNDERFLOW = 746.0
 _NEGATIVE_CLAMP_RATIO = 1e-12
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+# Below this bandwidth, or this many grid steps r, the kernel's (step / r)^2 and weight
+# 1 / (r sqrt(2 pi)) may overflow: kde_fft lets them (exp(-inf) is the kernel's exact 0)
+# and refuses a density left infinite or NaN.
+_NARROW = 1e-100
 
 # Padded lengths are looked up among the 11-smooth integers up to this
 # (3 608 of them, built at import in about 1 ms).
@@ -290,6 +296,8 @@ def _kernel_plan(h: float, spacing: float, size: int) -> tuple[float, int, int]:
     """(r, half_width, m): the kernel's width and its 6h reach in grid steps,
     and the padded transform length for a grid of ``size`` points."""
     r = h / spacing
+    if not size + _KERNEL_SUPPORT_BANDWIDTHS * r <= _MAX_TARGET:  # also an infinite r
+        raise ValidationError(f"bandwidth: {h!r} is {r:.3g} grid steps wide, too wide for a transform")
     half_width = math.ceil(_KERNEL_SUPPORT_BANDWIDTHS * r)
     return r, half_width, _next_fast_len(size + half_width)
 
@@ -331,7 +339,9 @@ def kde_fft(x, grid: Grid, h) -> DensityCurve:
     own peak. Tiny negative roundoff lobes are clamped to zero.
 
     The sample need not be sorted: binning only needs every observation
-    on the grid, and that span check also rejects NaN and infinity.
+    on the grid, and that span check also rejects NaN and infinity. A
+    bandwidth too narrow for a finite density, or too wide in grid steps
+    for a transform, raises :class:`ValidationError`.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
@@ -345,7 +355,11 @@ def kde_fft(x, grid: Grid, h) -> DensityCurve:
         )
     r, half_width, m = _kernel_plan(h, grid.spacing, grid.size)
     counts = _linear_bin(x, grid.start, grid.spacing, grid.size)
-    density = _convolve(counts, _kernel_transform(r, half_width, m), m, x.size, grid.spacing)
+    narrow = min(h, r) < _NARROW
+    with np.errstate(over="ignore", invalid="ignore") if narrow else contextlib.nullcontext():
+        density = _convolve(counts, _kernel_transform(r, half_width, m), m, x.size, grid.spacing)
+    if narrow and not np.isfinite(density).all():
+        raise ValidationError(f"bandwidth: {h!r} is {r:.3g} grid steps wide, too narrow for a finite density")
     return DensityCurve(grid=grid, density=density, h=h)
 
 

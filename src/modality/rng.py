@@ -73,7 +73,8 @@ def derive_seed(seed: int, tag: str, index: int = 0) -> int:
 def random_open01(rng: np.random.Generator, size: int) -> np.ndarray:
     """Uniform draws strictly inside (0, 1), one 53-bit word each."""
     k = rng.integers(0, 1 << 53, size=size, dtype=np.uint64)
-    return (k.astype(np.float64) + 0.5) * 2.0**-53
+    # the top word's (k + 0.5) 2^-53 rounds up to 1.0: it takes the double below 1.0 instead
+    return np.minimum((k.astype(np.float64) + 0.5) * 2.0**-53, 1.0 - 2.0**-53)
 
 
 @functools.cache

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TestInconclusiveError
-from .kde import _blocks, _check_count, _check_size, _grid_size, _kde_at, _kde_rows_at, _silverman_bandwidth, as_sample
+from .kde import _blocks, _check_count, _grid_size, _kde_at, _kde_rows_at, _silverman_bandwidth, as_sample
 from .modes import _at_most_modes
 from .rng import random_open01, standard_normals, substream
 from .solver import _solve
@@ -93,12 +93,7 @@ def silverman_test(x, mod0: int = 1, resamples: int = 999, seed: int = 0) -> Tes
     block size. The whole block's mode counts are compared with ``mod0``
     at once, with the exact answer of a row-by-row count.
     """
-    return _silverman_test(as_sample(x, min_size=10), mod0, resamples, seed)
-
-
-def _silverman_test(x: np.ndarray, mod0: int, resamples: int, seed: int) -> TestResult:
-    """:func:`silverman_test` of a validated, sorted sample."""
-    _check_size(x, 10)
+    x = as_sample(x, min_size=10)
     _check_count("mod0", mod0, 1)
     _check_count("resamples", resamples, 99)
 
@@ -273,12 +268,7 @@ def dip_test(x, resamples: int = 999, seed: int = 0) -> TestResult:
     skips the walk too. Only the rows between the two bounds are walked,
     and the p-value is exactly the one walking every row gives.
     """
-    return _dip_test(as_sample(x, min_size=4), resamples, seed)
-
-
-def _dip_test(x: np.ndarray, resamples: int, seed: int) -> TestResult:
-    """:func:`dip_test` of a validated, sorted sample."""
-    _check_size(x, 4)
+    x = as_sample(x, min_size=4)
     _check_count("resamples", resamples, 199)
     d = _dip_of_sorted(x)
     n = x.size
@@ -383,15 +373,8 @@ def _interval_masses(pts: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def excess_mass(x, h: float | None = None) -> ExcessMassCurve:
     """Excess mass of the KDE over a uniform ladder of thresholds."""
-    return _excess_mass(as_sample(x, min_size=5), h)
-
-
-def _excess_mass(x: np.ndarray, h: float | None = None) -> ExcessMassCurve:
-    """:func:`excess_mass` of a validated, sorted sample."""
-    _check_size(x, 5)
-    if h is None:
-        h = _silverman_bandwidth(x)
-    curve = _kde_at(x, h)
+    x = as_sample(x, min_size=5)
+    curve = _kde_at(x, _silverman_bandwidth(x) if h is None else h)
     pts = curve.grid.points
     density = curve.density
     thresholds = np.linspace(0.0, density.max(), EXCESS_MASS_LEVELS)

@@ -211,6 +211,16 @@ def test_test_resamples_below_the_least_is_a_data_error(normal_csv, capsys, meth
     assert capsys.readouterr().err.startswith(f"data error: resamples: must be >= {least}, got {resamples}")
 
 
+@pytest.mark.parametrize("method, rows, least", [("silverman", 5, 10), ("dip", 3, 4), ("excess", 4, 5)])
+def test_test_below_the_least_sample_size_is_a_data_error(tmp_path, capsys, method, rows, least):
+    path = tmp_path / "short.csv"
+    path.write_text("value\n" + "".join(f"{i}.5\n" for i in range(rows)))
+    assert main(["test", str(path), "--method", method]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: sample: need at least {least} observations, got {rows}\n"
+    )
+
+
 def test_test_excess_reports_delta(wellsep_csv, capsys):
     assert main(["test", str(wellsep_csv), "--method", "excess",
                  "--format", "json"]) == 0
@@ -225,6 +235,8 @@ def test_test_excess_reports_delta(wellsep_csv, capsys):
     pytest.param("well_separated_n400", "dip", id="dip"),
     # unimodal: the KS screen passes null rows on to the hull walk
     pytest.param("normal_n400", "dip", id="normal_dip"),
+    # no resampling: the seed is not read
+    pytest.param("well_separated_n400", "excess", id="excess"),
 ])
 def test_test_output_matches_golden_file(sample, method, capsys, monkeypatch):
     # the golden files are this command's stdout, run from the repository root
@@ -233,6 +245,15 @@ def test_test_output_matches_golden_file(sample, method, capsys, monkeypatch):
     argv = ["test", str(data / f"{sample}.csv"), "--method", method, "--format", "json", "--seed", "0"]
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == (data / f"{sample}_{method}.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["decompose", "modes"])
+def test_command_output_matches_golden_file(command, capsys, monkeypatch):
+    # the golden files are this command's stdout, run from the repository root
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    data = Path("tests") / "data"
+    assert main([command, str(data / "well_separated_n400.csv"), "--format", "json"]) == 0
+    assert capsys.readouterr().out.encode() == (data / f"well_separated_n400_{command}.json").read_bytes()
 
 
 def test_analyze_ci_output_matches_golden_file(capsys, monkeypatch):
@@ -290,6 +311,29 @@ def test_modes_explicit_bandwidth(wellsep_csv, capsys):
                  "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["modes"]["count"] == 1
+
+
+def test_modes_bandwidth_too_narrow_for_a_finite_density_exits_2(capsys):
+    # 1e-320 is a subnormal number of grid steps: the kernel's peak weight overflows
+    data = Path(__file__).resolve().parent / "data"
+    argv = ["modes", str(data / "well_separated_n400.csv"), "--bandwidth", "1e-320", "--format", "json"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("data error: bandwidth: 1e-320 is ")
+    assert "too narrow for a finite density" in captured.err
+
+
+def test_modes_bandwidth_far_below_a_grid_step_keeps_its_count(capsys):
+    # far below a grid step every occupied grid bin is a mode, whatever the bandwidth;
+    # at 1e-300 and 1e-307 an observation weighs about 3e297 and 3e304 per grid step,
+    # and no float warning is raised on the way to the count
+    data = Path(__file__).resolve().parent / "data"
+    counts = []
+    for h in ("1e-12", "1e-300", "1e-307"):
+        assert main(["modes", str(data / "well_separated_n400.csv"), "--bandwidth", h, "--format", "json"]) == 0
+        counts.append(json.loads(capsys.readouterr().out)["modes"]["count"])
+    assert counts == [106, 106, 106]
 
 
 def test_decompose_subcommand(wellsep_csv, capsys):

@@ -120,6 +120,14 @@ def test_non_numeric_cells_dropped_with_warning(tmp_path):
     assert out.size == 10
 
 
+@pytest.mark.parametrize("column", ["a", None])
+def test_dropped_cell_warning_points_at_the_caller(tmp_path, column):
+    path = _write(tmp_path, "data.csv", "a\n1\n2\nn/a\n3\n4\n5\n6\n7\n8\n9\n10\n")
+    with pytest.warns(UserWarning, match="dropped 1") as caught:
+        read_data(path, column=column)
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_empty_cells_skipped_silently(tmp_path):
     path = _write(tmp_path, "data.csv", "a,b\n1,x\n,y\n3,z\n")
     out = read_data(path, column="a")

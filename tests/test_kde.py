@@ -221,6 +221,27 @@ def test_next_fast_len_rejects_a_target_no_fft_reaches():
         _next_fast_len(2**61 + 1)
 
 
+def test_kde_fft_bandwidth_too_wide_for_a_transform_is_a_validation_error():
+    # 1e302 grid steps: the padded transform would need more than 2^61 points
+    with pytest.raises(ValidationError, match=r"^bandwidth: 1e\+300 is 1e\+302 grid steps wide, too wide"):
+        kde_fft(np.array([0.0, 1.0]), Grid(-3.0, 0.01, 600), 1e300)
+
+
+@pytest.mark.parametrize("h, peak", [(1e-300, 3.989422804014327e299), (1e-308, 3.9894228040143273e307)])
+def test_kde_fft_far_below_a_grid_step_is_the_kernel_peak(h, peak):
+    # exp(-(1 / r)^2 / 2) overflows its square on the way to 0 without a warning
+    density = kde_fft(np.array([0.0]), Grid(-1.0, 0.5, 5), h).density
+    assert density.tolist() == [0.0, 0.0, peak, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("h", [6e-309, 1e-320])
+def test_kde_fft_bandwidth_too_narrow_for_a_finite_density_is_a_validation_error(h):
+    # the peak 1 / (h sqrt(2 pi)) is near or past the largest float, and the
+    # transform overflows on the way to it
+    with pytest.raises(ValidationError, match=f"^bandwidth: {h!r} is .* too narrow for a finite density"):
+        kde_fft(np.array([0.0]), Grid(-1.0, 0.5, 5), h)
+
+
 def _sampled_kernel_kde(x, grid, h):
     """Reference: convolution with the sampled kernel, truncated at 6h and
     transformed by FFT, on the grid padded by that reach on both sides."""

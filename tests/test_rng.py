@@ -115,6 +115,19 @@ def test_random_open01_is_strictly_inside_unit_interval():
     assert u.max() < 1.0
 
 
+def test_random_open01_top_word_stays_below_one():
+    class _Words:
+        """A generator whose words are the largest and the smallest of 53 bits."""
+
+        def integers(self, low, high, size, dtype):
+            assert (low, high, size) == (0, 1 << 53, 2)
+            return np.array([(1 << 53) - 1, 0], dtype=dtype)
+
+    u = random_open01(_Words(), 2)
+    # (2^53 - 1 + 0.5) 2^-53 rounds to 1.0; the draw is capped just below it
+    assert u.tolist() == [np.nextafter(1.0, 0.0), 2.0**-54]
+
+
 def test_seed_validation():
     with pytest.raises(ValidationError, match="seed"):
         substream(-1, "x")

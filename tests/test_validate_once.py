@@ -2,7 +2,9 @@
 
 Every layer below a public function takes the sorted sample it is given,
 so a solve of 17 KDE evaluations, a bootstrap of 99 replicates and every
-CLI command (whose file reader validates) all sort the data once.
+CLI command all sort the data once. A command's file reader returns the
+numbers unsorted; ``test`` and ``decompose`` pass them to the public
+procedure, and ``analyze`` and ``modes`` validate them at their start.
 """
 
 import numpy as np
