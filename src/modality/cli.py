@@ -5,14 +5,17 @@ Subcommands: ``analyze`` (bandwidths, modes, decomposition, strength),
 ``benchmark`` (table2 | scalability suites).
 
 Exit codes are a stable contract: 0 success, 1 usage error, 2 input or
-data error, 3 solver or test failure. The default seed is 0, overridable
-by the ``MODALITY_SEED`` environment variable; an explicit ``--seed``
-wins over both. Reports render as text or JSON from the same values.
+data error, 3 solver or test failure. Each command returns its report;
+``main`` alone prints it and maps each failure to its exit code. The
+default seed is 0, overridable by the ``MODALITY_SEED`` environment
+variable; an explicit ``--seed`` wins over both. Reports render as text
+or JSON from the same values.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -45,8 +48,7 @@ EXIT_METHOD = 3
 
 
 class _UsageExit(Exception):
-    def __init__(self, message: str):
-        super().__init__(message)
+    """A usage problem: ``main`` prints it and exits 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,16 +107,7 @@ def _modes_payload(mode_set) -> dict:
     }
 
 
-def _decomposition_payload(decomp) -> dict:
-    return {
-        "component1": vars(decomp.component1).copy(),
-        "component2": vars(decomp.component2).copy(),
-        "separation_point": decomp.separation_point,
-        "dip_ratio": decomp.dip_ratio,
-    }
-
-
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> dict:
     x, descriptor = _load(args)
     x = as_sample(x)  # at least 2 finite numbers from the reader, sorted once here
     h_silverman = _silverman_bandwidth(x)
@@ -125,24 +118,21 @@ def cmd_analyze(args) -> int:
     mode_runs = _modes_of_curve(curve)
     mode_set = mode_runs[0]
     result = _solve(x, args.k, mode_set.count)
+    if not result.success:  # before the interval draws a replicate
+        raise SolverError(f"critical bandwidth search failed (k={args.k}, iterations={result.iterations})")
     if args.ci:
         result = _bootstrap(x, result, args.resamples, args.seed)
-    if not result.success:
-        print(f"error: critical bandwidth search failed (k={args.k}, "
-              f"iterations={result.iterations})", file=sys.stderr)
-        return EXIT_METHOD
 
     decomposition = None
     if mode_set.count >= 2:
-        decomposition = _decomposition_payload(_components_of_curve(x, curve, mode_runs))
+        decomposition = dataclasses.asdict(_components_of_curve(x, curve, mode_runs))
     try:
         solved = result if args.k == 2 else _solve(x, 2, mode_set.count)
-        strength = _strength_of(solved, h_silverman)
-        strength_payload = {"ratio": strength.ratio, "label": strength.label}
+        strength = dataclasses.asdict(_strength_of(solved, h_silverman))
     except SolverError:
-        strength_payload = None
+        strength = None
 
-    report = {
+    return {
         "input": descriptor,
         "h_silverman": h_silverman,
         "h_crit": result.h_crit,
@@ -158,13 +148,11 @@ def cmd_analyze(args) -> int:
         },
         "modes": _modes_payload(mode_set),
         "decomposition": decomposition,
-        "strength": strength_payload,
+        "strength": strength,
     }
-    _emit(report, args.format)
-    return EXIT_OK
 
 
-def cmd_test(args) -> int:
+def cmd_test(args) -> dict:
     x, descriptor = _load(args)
     if args.method == "silverman":
         result = silverman_test(x, args.mod0, args.resamples, args.seed)
@@ -173,23 +161,20 @@ def cmd_test(args) -> int:
         result = dip_test(x, args.resamples, args.seed)
         null_desc = "unimodal"
     else:
-        curve = excess_mass(x)
-        report = {
+        return {
             "input": descriptor,
             "method": "excess_mass",
-            "statistic": curve.delta,
+            "statistic": excess_mass(x).delta,
             "p_value": None,
             "conclusion": "no calibrated test; delta reported as a diagnostic",
         }
-        _emit(report, args.format)
-        return EXIT_OK
 
     conclusion = (
         f"reject {null_desc} at alpha={ALPHA:g}"
         if result.p_value < ALPHA
         else f"fail to reject {null_desc} at alpha={ALPHA:g}"
     )
-    report = {
+    return {
         "input": descriptor,
         "method": result.method,
         "statistic": result.statistic,
@@ -198,26 +183,19 @@ def cmd_test(args) -> int:
         "h_crit": result.h_crit,
         "conclusion": conclusion,
     }
-    _emit(report, args.format)
-    return EXIT_OK
 
 
-def cmd_modes(args) -> int:
+def cmd_modes(args) -> dict:
     x, descriptor = _load(args)
     x = as_sample(x)
     h = args.bandwidth if args.bandwidth is not None else _silverman_bandwidth(x)
     mode_set = _modes_of_curve(_kde_at(x, h))[0]
-    report = {"input": descriptor, "bandwidth": h, "modes": _modes_payload(mode_set)}
-    _emit(report, args.format)
-    return EXIT_OK
+    return {"input": descriptor, "bandwidth": h, "modes": _modes_payload(mode_set)}
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> dict:
     x, descriptor = _load(args)
-    decomp = detect_components(x)
-    report = {"input": descriptor, "decomposition": _decomposition_payload(decomp)}
-    _emit(report, args.format)
-    return EXIT_OK
+    return {"input": descriptor, "decomposition": dataclasses.asdict(detect_components(x))}
 
 
 def _parse_seed_range(raw: str) -> tuple[int, ...]:
@@ -231,7 +209,7 @@ def _parse_seed_range(raw: str) -> tuple[int, ...]:
     return seeds
 
 
-def cmd_benchmark(args) -> int:
+def cmd_benchmark(args) -> None:
     seeds = _parse_seed_range(args.seeds)
     if args.suite == "table2":
         rows = bench.run_table2(seeds)
@@ -246,7 +224,6 @@ def cmd_benchmark(args) -> int:
         with open(args.out, "w", encoding="utf-8", newline="\n") as f:
             f.write(csv_payload)
         print(f"\nwrote {args.out}")
-    return EXIT_OK
 
 
 def _build_parser() -> _Parser:
@@ -300,7 +277,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed()
-        return args.func(args)
+        report = args.func(args)
     except _UsageExit as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -313,6 +290,9 @@ def main(argv=None) -> int:
     except ModalityError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
+    if report is not None:
+        _emit(report, args.format)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -288,7 +288,10 @@ def _read_numbers(path, column: str | None = None, return_all: bool = False):
         numeric = [c for c in parsed if _is_numeric(*c[1:])]
         if not numeric:
             raise DataFormatError(f"{origin}: no numeric columns")
-        return [(c[0], _coerce_column(*c, origin)) for c in numeric]
+        columns = []  # a loop, not a comprehension: the warning's stacklevel counts frames
+        for c in numeric:
+            columns.append((c[0], _coerce_column(*c, origin)))
+        return columns
     if column is not None:
         if column not in table.columns:
             raise DataFormatError(

@@ -203,7 +203,8 @@ def silverman_bandwidth(x) -> float:
     back to the standard deviation so the result stays positive. A sample
     has zero scale exactly when its smallest and largest values are equal;
     that raises :class:`DegenerateSampleError`, whatever ``np.std`` rounds to.
-    So does a spread so small (subnormal) that the bandwidth underflows to 0.
+    So does a spread so small (subnormal) that the bandwidth underflows to 0,
+    or so large (values beyond about 1e153) that the variance overflows.
     """
     return _silverman_bandwidth(as_sample(x, min_size=2))
 
@@ -212,7 +213,10 @@ def _silverman_bandwidth(x: np.ndarray) -> float:
     """:func:`silverman_bandwidth` of a validated, sorted sample of size >= 2."""
     if x[0] == x[-1]:
         raise DegenerateSampleError("sample: zero scale (all observations identical)")
-    sd = float(np.std(x, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(np.std(x, ddof=1))
+    if not math.isfinite(sd):
+        raise DegenerateSampleError(f"sample: magnitude {max(-x[0], x[-1]):.3g} is too large for a variance")
     q75, q25 = np.percentile(x, [75.0, 25.0])
     iqr = float(q75 - q25)
     if iqr > 0.0:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from modality.benchmark import (
     run_scalability,
     scalability_to_text,
 )
-from modality.cli import _decomposition_payload, _modes_payload, main
+from modality.cli import _modes_payload, main
 from tests.conftest import WELL_SEPARATED
 
 
@@ -106,10 +107,26 @@ def test_analyze_report_matches_library(wellsep_csv, capsys, flags):
     strength = bimodality_strength(x)
     expected = {
         "modes": _modes_payload(find_modes(x, silverman_bandwidth(x))),
-        "decomposition": _decomposition_payload(detect_components(x)),
+        "decomposition": dataclasses.asdict(detect_components(x)),
         "strength": {"ratio": strength.ratio, "label": strength.label},
     }
     assert {key: report[key] for key in expected} == json.loads(json.dumps(expected))
+
+
+def test_analyze_unverified_search_fails_before_the_interval(capsys, kde_bandwidths):
+    # k = 1 has no attainable target, so the search never verifies; the
+    # interval draws no replicate, and resamples below its least are not read
+    path = str(Path(__file__).parent / "data" / "well_separated_n400.csv")
+    seen = []
+    for flags in ([], ["--ci", "--resamples", "99"], ["--ci", "--resamples", "50"]):
+        kde_bandwidths.clear()
+        assert main(["analyze", path, "--k", "1", *flags]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "method failure: critical bandwidth search failed (k=1, iterations=6)\n"
+        seen.append(list(kde_bandwidths))
+    assert seen[0] == seen[1] == seen[2]
+    assert len(set(seen[0])) == len(seen[0]) == 6
 
 
 def test_analyze_ci_flag(wellsep_csv, capsys):
@@ -180,6 +197,20 @@ def test_subnormal_spread_exits_2(tmp_path, capsys):
     path.write_text("value\n" + "0.0\n" * 4 + "5e-324\n")
     assert main(["modes", str(path)]) == 2
     assert capsys.readouterr().err.startswith("data error: sample: scale 0.0 is too small")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"], ["analyze", "--ci", "--resamples", "99"], ["test", "--method", "silverman"], ["decompose"],
+], ids=["analyze", "analyze_ci", "test_silverman", "decompose"])
+def test_huge_magnitude_exits_2(argv, tmp_path, capsys):
+    # 2^1000 times a bimodal sample: its variance overflows
+    x = sample_mixture(WELL_SEPARATED, 0) * 2.0**1000
+    path = tmp_path / "huge.csv"
+    path.write_text("value\n" + "\n".join(repr(float(v)) for v in x) + "\n")
+    assert main([*argv, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "data error: sample: magnitude 3.08e+301 is too large for a variance\n"
 
 
 def test_usage_error_exits_1(capsys):
@@ -366,6 +397,19 @@ def test_env_seed_override(wellsep_csv, capsys, monkeypatch):
 def test_env_seed_invalid_is_usage_error(wellsep_csv, capsys, monkeypatch):
     monkeypatch.setenv("MODALITY_SEED", "not-a-number")
     assert main(["test", str(wellsep_csv), "--method", "dip"]) == 1
+
+
+@pytest.mark.parametrize("name,change,status", [
+    ("well_separated", {"baseline_modes": 3}, "modes 2 != 3"),
+    ("well_separated", {"baseline_mean": 2.0}, "mean drift -6.3%"),
+    ("well_separated", {"stable": False}, "CV 0.6% unexpectedly low"),
+    ("near_unimodal", {"stable": True}, "mean drift -4.2%; CV 22.6% >= 5%"),
+], ids=["modes", "mean_drift", "unstable_row_too_steady", "stable_row_drifts_and_spreads"])
+def test_benchmark_status_names_each_gate_it_misses(name, change, status):
+    from modality.benchmark import run_case
+
+    case = next(c for c in CASES if c.name == name)
+    assert run_case(dataclasses.replace(case, **change)).status == status
 
 
 def test_benchmark_csv_is_deterministic():

@@ -120,11 +120,15 @@ def test_non_numeric_cells_dropped_with_warning(tmp_path):
     assert out.size == 10
 
 
-@pytest.mark.parametrize("column", ["a", None])
-def test_dropped_cell_warning_points_at_the_caller(tmp_path, column):
+@pytest.mark.parametrize("kwargs", [
+    pytest.param({"column": "a"}, id="a"),
+    pytest.param({"column": None}, id="None"),
+    pytest.param({"return_all": True}, id="return_all"),
+])
+def test_dropped_cell_warning_points_at_the_caller(tmp_path, kwargs):
     path = _write(tmp_path, "data.csv", "a\n1\n2\nn/a\n3\n4\n5\n6\n7\n8\n9\n10\n")
     with pytest.warns(UserWarning, match="dropped 1") as caught:
-        read_data(path, column=column)
+        read_data(path, **kwargs)
     assert [w.filename for w in caught] == [__file__]
 
 

@@ -155,6 +155,13 @@ def test_ci_tiny_sample_keeps_invariants():
     assert r.ci_failures >= 0
 
 
+def test_ci_unreliable_when_most_replicates_fail(well_separated):
+    # k = 1 has no attainable target, so no replicate's search verifies
+    with pytest.raises(CIUnreliableError, match="99 of 99 replicates failed") as caught:
+        critical_bandwidth_ci(well_separated, k=1, resamples=99)
+    assert caught.value.failures == 99
+
+
 def test_ci_counts_constant_replicates_as_failures():
     # about one replicate in 32 draws the same value six times
     x = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
