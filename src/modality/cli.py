@@ -34,6 +34,7 @@ from .errors import (
 from .io import _read_numbers
 from .kde import _kde_at, _silverman_bandwidth, as_sample
 from .modes import _modes_of_curve
+from .rng import _check_seed
 from .solver import _bootstrap, _solve
 from .stattests import dip_test, excess_mass, silverman_test
 
@@ -110,6 +111,8 @@ def _modes_payload(mode_set) -> dict:
 def cmd_analyze(args) -> dict:
     x, descriptor = _load(args)
     x = as_sample(x)  # at least 2 finite numbers from the reader, sorted once here
+    if args.ci:
+        _check_seed(args.seed)  # before the point solve, not at the interval's first replicate
     h_silverman = _silverman_bandwidth(x)
 
     # the one curve at h0 gives the modes, the decomposition and the first

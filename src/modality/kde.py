@@ -297,12 +297,16 @@ def _linear_bin(x: np.ndarray, start, spacing, size: int) -> np.ndarray:
 
 
 def _kernel_plan(h: float, spacing: float, size: int) -> tuple[float, int, int]:
-    """(r, half_width, m): the kernel's width and its 6h reach in grid steps,
-    and the padded transform length for a grid of ``size`` points."""
+    """(r, half_width, m): the kernel's width and its reach in grid steps,
+    and the padded transform length for a grid of ``size`` points.
+
+    The reach is 6h, capped at ``size - 1`` steps: no two grid points are
+    further apart, so a wide kernel on a fixed grid pads no further.
+    """
     r = h / spacing
     if not size + _KERNEL_SUPPORT_BANDWIDTHS * r <= _MAX_TARGET:  # also an infinite r
         raise ValidationError(f"bandwidth: {h!r} is {r:.3g} grid steps wide, too wide for a transform")
-    half_width = math.ceil(_KERNEL_SUPPORT_BANDWIDTHS * r)
+    half_width = min(math.ceil(_KERNEL_SUPPORT_BANDWIDTHS * r), size - 1)
     return r, half_width, _next_fast_len(size + half_width)
 
 
@@ -311,8 +315,10 @@ def _kernel_transform(r: float, half_width: int, m: int) -> np.ndarray:
 
     The kernel is weighted per grid step, so its transform is 1 at zero
     frequency and a convolution with it keeps the mass of the bin counts.
+    The closed form needs the padding of the full 6h reach, so a reach
+    capped at the grid's length takes the sampled kernel.
     """
-    if r >= _CLOSED_FORM_MIN_STEPS:
+    if r >= _CLOSED_FORM_MIN_STEPS and half_width >= _KERNEL_SUPPORT_BANDWIDTHS * r:
         step = 2.0 * np.pi * r / m  # r * w from one frequency to the next
         transform = np.zeros(m // 2 + 1)
         # only where exp(-(r w)^2 / 2) has not underflowed to 0
@@ -332,12 +338,14 @@ def kde_fft(x, grid: Grid, h) -> DensityCurve:
     """FFT-accelerated Gaussian KDE on a uniform grid.
 
     Bins the sample linearly onto the grid, zero-pads it on one side by
-    the kernel's 6h reach, multiplies its transform by the kernel's, and
-    keeps the first ``grid.size`` points of the inverse transform. At
-    r = h / spacing >= 3 the kernel's transform is the closed form
-    exp(-(r w)^2 / 2), so an evaluation makes two transforms. Narrower
-    kernels use the transform of the sampled kernel, truncated at 6h,
-    because the closed form rings there. Either way the result differs
+    the kernel's 6h reach, or by the grid's length when that is shorter,
+    multiplies its transform by the kernel's, and keeps the first
+    ``grid.size`` points of the inverse transform. At r = h / spacing >= 3
+    the kernel's transform is the closed form exp(-(r w)^2 / 2), so an
+    evaluation makes two transforms. Narrower kernels use the transform
+    of the sampled kernel, truncated at 6h, because the closed form rings
+    there; so do kernels whose reach passes the grid's length, which the
+    shorter padding would wrap. Either way the result differs
     from a convolution with the sampled kernel truncated at 6h only by
     kernel mass beyond 6h, under exp(-18) (1.5e-8) of an observation's
     own peak. Tiny negative roundoff lobes are clamped to zero.

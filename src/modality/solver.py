@@ -32,7 +32,7 @@ import numpy as np
 from .errors import CIUnreliableError
 from .kde import _block_rows, _check_count, _check_size, _grid_size, _kde_at, _kde_rows_at, _silverman_bandwidth, as_sample
 from .modes import _at_most_modes, count_modes
-from .rng import derive_seed, resample_with_replacement
+from .rng import _check_seed, derive_seed, resample_with_replacement
 
 __all__ = [
     "CritBandResult",
@@ -205,9 +205,10 @@ def critical_bandwidth_ci(x, k: int = 2, resamples: int | None = None,
     that draw one value only, are excluded and counted in
     ``ci_failures``; more than half failing raises
     :class:`CIUnreliableError`. The 95% interval is widened, if needed, to
-    contain the point estimate.
+    contain the point estimate. The seed is checked before the point solve.
     """
     x = as_sample(x, min_size=3)
+    _check_seed(seed)
     point = _solve(x, k)
     if resamples is None:
         resamples = DEFAULT_CI_RESAMPLES

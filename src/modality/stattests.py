@@ -23,7 +23,7 @@ import numpy as np
 from .errors import TestInconclusiveError
 from .kde import _blocks, _check_count, _grid_size, _kde_at, _kde_rows_at, _silverman_bandwidth, as_sample
 from .modes import _at_most_modes
-from .rng import random_open01, standard_normals, substream
+from .rng import _check_seed, _substreams, random_open01, standard_normals
 from .solver import _solve
 
 __all__ = [
@@ -87,8 +87,9 @@ def silverman_test(x, mod0: int = 1, resamples: int = 999, seed: int = 0) -> Tes
     at least the observed one.
 
     Replicates are drawn and evaluated in blocks of rows. Row ``i`` still
-    draws from its own substream ``(seed, "silverman", i)`` with the same
-    arithmetic, and its density on its own default grid is bit for bit
+    draws from its own substream ``(seed, "silverman", i)`` (keyed in bulk;
+    the seed is checked with the other arguments, before the solve) with
+    the same arithmetic, and its density on its own default grid is bit for bit
     the one ``kde_fft`` gives, so the p-value does not depend on the
     block size. The whole block's mode counts are compared with ``mod0``
     at once, with the exact answer of a row-by-row count.
@@ -96,6 +97,8 @@ def silverman_test(x, mod0: int = 1, resamples: int = 999, seed: int = 0) -> Tes
     x = as_sample(x, min_size=10)
     _check_count("mod0", mod0, 1)
     _check_count("resamples", resamples, 99)
+    _check_seed(seed)
+    streams = _substreams(seed, "silverman", range(resamples))
 
     solved = _solve(x, mod0 + 1)
     if not solved.success:
@@ -111,8 +114,8 @@ def silverman_test(x, mod0: int = 1, resamples: int = 999, seed: int = 0) -> Tes
     for block in _blocks(resamples, n + _grid_size(n)):
         idx = np.empty((len(block), n), dtype=np.int64)
         noise = np.empty((len(block), n))
-        for row, i in enumerate(block):
-            rng = substream(seed, "silverman", i)
+        for row in range(len(block)):
+            rng = next(streams)
             idx[row] = rng.integers(0, n, size=n)
             noise[row] = standard_normals(rng, n)
         y = center + (x[idx] + h * noise - center) * shrink
@@ -257,7 +260,9 @@ def dip_test(x, resamples: int = 999, seed: int = 0) -> TestResult:
     each null replicate is already finite, so it is only sorted.
 
     Null rows are drawn in blocks, row ``i`` from substream
-    ``(seed, "dip", i)``, and screened before the hull walk. The
+    ``(seed, "dip", i)`` (keyed in bulk; the seed is checked with the
+    other arguments, before the observed dip is walked), and screened
+    before the hull walk. The
     Uniform(0, 1) CDF is itself unimodal, so a row's dip, its distance
     to the nearest unimodal CDF, is at most its Kolmogorov-Smirnov
     distance to the uniform. A row whose KS distance, enlarged by a
@@ -270,13 +275,15 @@ def dip_test(x, resamples: int = 999, seed: int = 0) -> TestResult:
     """
     x = as_sample(x, min_size=4)
     _check_count("resamples", resamples, 199)
+    _check_seed(seed)
+    streams = _substreams(seed, "dip", range(resamples))
     d = _dip_of_sorted(x)
     n = x.size
     exceed = 0
     for block in _blocks(resamples, n):
         u = np.empty((len(block), n))
-        for row, i in enumerate(block):
-            u[row] = random_open01(substream(seed, "dip", i), n)
+        for row in range(len(block)):
+            u[row] = random_open01(next(streams), n)
         u.sort(axis=1)
         # dip <= KS: a row whose KS is below d cannot reach it
         u = u[_ks_to_uniform(u) * (1.0 + _SCREEN_MARGIN) >= d]

@@ -266,6 +266,8 @@ def test_test_excess_reports_delta(wellsep_csv, capsys):
     pytest.param("well_separated_n400", "dip", id="dip"),
     # unimodal: the KS screen passes null rows on to the hull walk
     pytest.param("normal_n400", "dip", id="normal_dip"),
+    # unimodal: fails to reject, so every replicate's mode count is compared
+    pytest.param("normal_n400", "silverman", id="normal_silverman"),
     # no resampling: the seed is not read
     pytest.param("well_separated_n400", "excess", id="excess"),
 ])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,22 @@ def test_kde_fft_bandwidth_too_wide_for_a_transform_is_a_validation_error():
     # 1e302 grid steps: the padded transform would need more than 2^61 points
     with pytest.raises(ValidationError, match=r"^bandwidth: 1e\+300 is 1e\+302 grid steps wide, too wide"):
         kde_fft(np.array([0.0, 1.0]), Grid(-3.0, 0.01, 600), 1e300)
+
+
+@pytest.mark.parametrize("r", [2e5, 1e7])
+def test_kde_fft_kernel_wider_than_its_fixed_grid_pads_no_further_than_the_grid(r):
+    # the 6h reach is capped at the grid's 599 steps: no two grid points are further apart,
+    # so the padded transform stays short however wide the kernel (a 6h padding needed
+    # about 70 MB at r = 2e5 and would need gigabytes at 1e7)
+    grid, x = Grid(-3.0, 0.01, 600), np.array([0.0, 1.0])
+    tracemalloc.start()
+    try:
+        density = kde_fft(x, grid, r * grid.spacing).density
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    np.testing.assert_allclose(density, kde_direct(x, grid, r * grid.spacing).density, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("h, peak", [(1e-300, 3.989422804014327e299), (1e-308, 3.9894228040143273e307)])

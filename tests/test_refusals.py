@@ -9,6 +9,7 @@ overflows, and from there every procedure that needs a variance refuses it.
 
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from modality import (
     MixtureSpec,
     ValidationError,
     critical_bandwidth,
+    critical_bandwidth_ci,
     default_grid,
     detect_components,
     dip_statistic,
@@ -30,6 +32,7 @@ from modality import (
     silverman_bandwidth,
     silverman_test,
 )
+from modality import cli, solver, stattests
 from tests.conftest import WELL_SEPARATED
 
 _LINE = np.arange(20.0)
@@ -134,3 +137,25 @@ def test_the_dip_and_explicit_bandwidth_modes_need_no_variance(bimodal):
         assert dip_test(bimodal * scale, resamples=199) == dip_test(bimodal, resamples=199)
         modes = find_modes(bimodal * scale, 0.5 * scale)
     np.testing.assert_array_equal(modes.locations, scale * find_modes(bimodal, 0.5).locations)
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda x: silverman_test(x, resamples=99, seed=-1), "got -1", id="silverman_test"),
+    pytest.param(lambda x: dip_test(x, resamples=199, seed=2**64), f"got {2**64}", id="dip_test"),
+    pytest.param(lambda x: critical_bandwidth_ci(x, resamples=99, seed=-1), "got -1", id="critical_bandwidth_ci"),
+])
+def test_a_bad_seed_is_refused_before_any_solve_or_walk(bimodal, call, message, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved or walked before the seed was checked")
+
+    for module, name in ((stattests, "_solve"), (stattests, "_dip_of_sorted"), (solver, "_solve")):
+        monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(ValidationError, match=re.escape(f"seed: must be in [0, 2**64), {message}")):
+        call(bimodal)
+
+
+def test_analyze_refuses_a_bad_seed_before_its_point_solve(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_solve", lambda *args: pytest.fail("solved before the seed was checked"))
+    data = Path(__file__).resolve().parent / "data" / "well_separated_n400.csv"
+    assert cli.main(["analyze", str(data), "--ci", "--resamples", "99", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "data error: seed: must be in [0, 2**64), got -1\n"

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import modality.rng as rng_mod
 from modality import MixtureSpec, ValidationError, resample_with_replacement, sample_mixture
-from modality.rng import component_counts, derive_seed, random_open01, substream
+from modality.rng import _substreams, component_counts, derive_seed, random_open01, substream
 
 
 def test_single_component_sanity():
@@ -109,6 +110,38 @@ def test_substreams_are_independent_of_index():
     assert not np.array_equal(a, c)
 
 
+def _states(seed, tag, indices):
+    """The bulk-keyed streams' states, taken as each is yielded (one generator is re-keyed)."""
+    return [g.bit_generator.state for g in _substreams(seed, tag, indices)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+@pytest.mark.parametrize("indices", [
+    range(1030),  # two passes
+    range(2**32 - 3, 2**32 + 3),  # the index's second entropy word begins at 2^32
+    range(2**64 - 3, 2**64),
+], ids=["first", "2^32", "2^64"])
+def test_bulk_keyed_streams_equal_substream(seed, indices):
+    assert _states(seed, "silverman", indices) == [substream(seed, "silverman", i).bit_generator.state
+                                                   for i in indices]
+
+
+@pytest.mark.parametrize("tag_hash", [0, 5])
+def test_bulk_keyed_streams_equal_substream_for_a_one_word_tag(tag_hash, monkeypatch):
+    # seed 0, a one-word tag and a one-word index fill 3 words of the 4-word pool;
+    # the largest seed and index take 5
+    monkeypatch.setattr(rng_mod, "_tag_u64", lambda tag: tag_hash)
+    for seed in (0, 2**64 - 1):
+        for indices in (range(3), range(2**32 - 1, 2**32 + 1)):
+            assert _states(seed, "dip", indices) == [substream(seed, "dip", i).bit_generator.state
+                                                     for i in indices]
+
+
+def test_bulk_keyed_streams_refuse_a_bad_seed():
+    with pytest.raises(ValidationError, match=r"seed: must be in \[0, 2\*\*64\), got -1"):
+        next(_substreams(-1, "dip", range(3)))
+
+
 def test_random_open01_is_strictly_inside_unit_interval():
     u = random_open01(substream(1, "u"), 10_000)
     assert u.min() > 0.0
@@ -119,9 +152,9 @@ def test_random_open01_top_word_stays_below_one():
     class _Words:
         """A generator whose words are the largest and the smallest of 53 bits."""
 
-        def integers(self, low, high, size, dtype):
-            assert (low, high, size) == (0, 1 << 53, 2)
-            return np.array([(1 << 53) - 1, 0], dtype=dtype)
+        def random(self, size):
+            assert size == 2
+            return np.array([((1 << 53) - 1) * 2.0**-53, 0.0])
 
     u = random_open01(_Words(), 2)
     # (2^53 - 1 + 0.5) 2^-53 rounds to 1.0; the draw is capped just below it

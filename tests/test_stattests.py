@@ -515,3 +515,15 @@ def test_constant_sample_has_zero_scale_everywhere(method):
     # np.std of this sample is 1.4e-17, not 0: the rule tests its range
     with pytest.raises(DegenerateSampleError, match="sample: zero scale"):
         method(np.full(20, 0.1))
+
+
+def test_monte_carlo_tests_key_their_streams_in_bulk(monkeypatch):
+    # every replicate's stream comes from rng._substreams, none from a substream call of its own
+    def refuse(*args):
+        raise AssertionError("a replicate keyed its own substream")
+
+    x = sample_mixture(MixtureSpec(((0.5, -2.0, 0.3), (0.5, 2.0, 0.3)), 100), 0)
+    monkeypatch.setattr("modality.rng.substream", refuse)
+    monkeypatch.setattr(stattests_mod, "substream", refuse, raising=False)
+    silverman_test(x, resamples=99)
+    dip_test(x, resamples=199)
