@@ -126,12 +126,17 @@ def _next_fast_len(target: int) -> int:
 def as_sample(values, min_size: int = 1) -> np.ndarray:
     """Validate and normalize raw observations into a sorted float array."""
     x = np.asarray(values, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValidationError(f"sample: expected 1-dimensional data, got shape {x.shape}")
+    _check_1d(x)
     _check_size(x, min_size)
     if not np.all(np.isfinite(x)):
         raise ValidationError("sample: all observations must be finite")
     return np.sort(x)
+
+
+def _check_1d(x: np.ndarray) -> None:
+    """Check that a sample is a 1-dimensional array."""
+    if x.ndim != 1:
+        raise ValidationError(f"sample: expected 1-dimensional data, got shape {x.shape}")
 
 
 def _check_size(x: np.ndarray, min_size: int) -> None:

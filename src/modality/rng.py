@@ -13,9 +13,11 @@ seed reproduces bit-identical results across platforms and runs:
   and the draws differ.
 * Normals: inverse normal CDF applied to those uniforms (no ziggurat or
   rejection step, hence a fixed draw count per variate). The inverse CDF
-  is SciPy's ``ndtri``, imported on the first draw rather than with the
-  package, so only paths that draw normals (mixture sampling, the
-  Silverman test) load ``scipy.special``.
+  is :func:`_ndtri`, a NumPy port of the Cephes ``ndtri`` that SciPy
+  compiles as ``scipy.special.ndtri``: it returns SciPy's doubles, and
+  the package needs NumPy alone. It runs once per array of uniforms, so
+  the Monte Carlo tests and mixture sampling draw a block's uniforms
+  first and transform them in one pass.
 
 Independent consumers (mixture sampling, bootstrap replicate *i*, ...)
 derive their own stream from ``(seed, purpose tag, index)``, which keeps
@@ -27,7 +29,6 @@ index at once and gives each one the state ``substream`` gives it.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .kde import _check_1d
 
 __all__ = [
     "MixtureSpec",
@@ -188,24 +190,112 @@ def random_open01(rng: np.random.Generator, size: int) -> np.ndarray:
     k 2^-53 is exact, and scaling by a power of two is exact in the normal
     range, so adding 2^-54 rounds as adding 0.5 before the scaling did.
     """
+    return _open01(rng.random(size))
+
+
+def _open01(r: np.ndarray) -> np.ndarray:
+    """Map draws k 2^-53 of ``Generator.random`` in place to (k + 0.5) 2^-53
+    rounded, as :func:`random_open01` does."""
+    r += 2.0**-54
     # the top word's (k + 0.5) 2^-53 rounds up to 1.0: it takes the double below 1.0 instead
-    return np.minimum(rng.random(size) + 2.0**-54, 1.0 - 2.0**-53)
+    return np.minimum(r, 1.0 - 2.0**-53, out=r)
 
 
-@functools.cache
-def _ndtri():
-    """SciPy's inverse normal CDF, imported on the first draw.
+# Cephes ndtri (Moshier): the constants and coefficients of SciPy's compiled ndtri
+_S2PI = 2.50662827463100050242E0  # sqrt(2 pi)
+_EXPM2 = 0.13533528323661269189  # exp(-2)
+# central branch: exp(-2) < y <= 1 - exp(-2)
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+       1.39312609387279679503E1, -1.23916583867381258016E0)
+_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+# tails with sqrt(-2 log y) < 8, that is y > exp(-32)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+# the far tails, y <= exp(-32)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
 
-    Cached, because a function-local import statement costs more per draw
-    than this call does.
+
+def _polevl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    """Cephes ``polevl``: Horner's rule from the leading coefficient ``coef[0]``."""
+    ans = x * coef[0]
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _p1evl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    """Cephes ``p1evl``: :func:`_polevl` with an implied leading coefficient 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _log(a: np.ndarray) -> np.ndarray:
+    """The C library's ``log`` of each ``a``, for positive normal ``a`` outside [0.5, 2).
+
+    NumPy's float64 ``log`` runs its own SIMD kernels, which differ from
+    the C library's ``log`` in the last bit on a few values in 10^4.
+    NumPy's complex ``log`` calls the C library's ``clog``, whose real part
+    is ``log(|a|)`` itself for such ``a``.
     """
-    from scipy.special import ndtri
-    return ndtri
+    return np.log(a.astype(np.complex128)).real
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """The standard normal quantile of each ``p`` in the open interval (0, 1).
+
+    A NumPy port of Cephes ``ndtri`` (S. L. Moshier), which SciPy compiles
+    as ``scipy.special.ndtri``. Its operations are Cephes' own, in the same
+    order, so it returns the same doubles as SciPy. Its logarithms are the
+    C library's (see :func:`_log`), as in SciPy's compiled code, and both
+    read arguments outside [0.5, 2): y in [2^-54, exp(-2)], and
+    sqrt(-2 log y) in [2, 8.7]. Each branch runs once over the array: the
+    central rational function on every value, which is finite on the
+    tails too, then the tail functions on the tails, whose results
+    overwrite the central ones there.
+    """
+    flip = p > 1.0 - _EXPM2
+    y = np.where(flip, 1.0 - p, p)
+
+    c = y - 0.5
+    c2 = c * c
+    x = c + c * (c2 * _polevl(c2, _P0) / _p1evl(c2, _Q0))
+    x *= _S2PI
+
+    tail = np.flatnonzero(y <= _EXPM2)
+    r = np.sqrt(-2.0 * _log(np.take(y, tail)))
+    x0 = r - _log(r) / r
+    z = 1.0 / r
+    x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
+    far = np.flatnonzero(r >= 8.0)
+    if far.size:
+        z = np.take(z, far)
+        np.put(x1, far, z * _polevl(z, _P2) / _p1evl(z, _Q2))
+    x0 -= x1
+    # the lower tail is negative; the upper one, flipped onto the lower, positive
+    np.negative(x0, out=x0, where=~np.take(flip, tail))
+    np.put(x, tail, x0)
+    return x
 
 
 def standard_normals(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Standard normal draws via the inverse-CDF transform."""
-    return _ndtri()(random_open01(rng, size))
+    """Standard normal draws: :func:`_ndtri` of :func:`random_open01`'s uniforms."""
+    return _ndtri(random_open01(rng, size))
 
 
 @dataclass(frozen=True)
@@ -270,24 +360,24 @@ def sample_mixture(spec: MixtureSpec, seed: int) -> np.ndarray:
     (fixed counts, see :func:`component_counts`) rather than resampled
     per draw, which keeps the realized mixture weights pinned and makes
     per-seed critical bandwidths comparable across seeds. Each component
-    then draws its normals from its own substream ``(seed, "mixture",
+    then draws its uniforms from its own substream ``(seed, "mixture",
     component index)``, so one component's draws do not depend on the
-    sizes of the others. The output is a pure function of
+    sizes of the others, and one :func:`_ndtri` call turns every
+    component's uniforms into normals. The output is a pure function of
     ``(spec, seed)``.
     """
     if not isinstance(spec, MixtureSpec):
         spec = MixtureSpec(tuple(spec.components), spec.n)  # re-validate duck-typed input
     counts = component_counts(spec.weights, spec.n)
-    parts = []
-    for i, ((_, mean, std), c) in enumerate(zip(spec.components, counts)):
-        z = standard_normals(substream(seed, "mixture", i), int(c))
-        parts.append(mean + std * z)
-    return np.sort(np.concatenate(parts))
+    z = _ndtri(np.concatenate([random_open01(substream(seed, "mixture", i), int(c))
+                               for i, c in enumerate(counts)]))
+    return np.sort(spec.means.repeat(counts) + spec.stds.repeat(counts) * z)
 
 
 def resample_with_replacement(x: np.ndarray, seed: int) -> np.ndarray:
     """Bootstrap resample of ``x`` (uniform with replacement), sorted."""
     x = np.asarray(x, dtype=np.float64)
+    _check_1d(x)
     if x.size == 0:
         raise ValidationError("x: cannot resample an empty sample")
     rng = substream(seed, "resample")

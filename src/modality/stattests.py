@@ -23,7 +23,7 @@ import numpy as np
 from .errors import TestInconclusiveError
 from .kde import _blocks, _check_count, _grid_size, _kde_at, _kde_rows_at, _silverman_bandwidth, as_sample
 from .modes import _at_most_modes
-from .rng import _check_seed, _substreams, random_open01, standard_normals
+from .rng import _check_seed, _ndtri, _open01, _substreams
 from .solver import _solve
 
 __all__ = [
@@ -117,7 +117,8 @@ def silverman_test(x, mod0: int = 1, resamples: int = 999, seed: int = 0) -> Tes
         for row in range(len(block)):
             rng = next(streams)
             idx[row] = rng.integers(0, n, size=n)
-            noise[row] = standard_normals(rng, n)
+            rng.random(out=noise[row])
+        noise = _ndtri(_open01(noise))
         y = center + (x[idx] + h * noise - center) * shrink
         y.sort(axis=1)
         exceed += int(np.count_nonzero(~_at_most_modes(_kde_rows_at(y, h), mod0)))
@@ -283,7 +284,8 @@ def dip_test(x, resamples: int = 999, seed: int = 0) -> TestResult:
     for block in _blocks(resamples, n):
         u = np.empty((len(block), n))
         for row in range(len(block)):
-            u[row] = random_open01(next(streams), n)
+            next(streams).random(out=u[row])
+        _open01(u)
         u.sort(axis=1)
         # dip <= KS: a row whose KS is below d cannot reach it
         u = u[_ks_to_uniform(u) * (1.0 + _SCREEN_MARGIN) >= d]

@@ -488,14 +488,34 @@ def test_import_loads_no_scipy(tmp_path):
     assert _fresh_process(tmp_path, "import modality.cli") == (b"", [])
 
 
-@pytest.mark.parametrize("flags,golden", [
-    pytest.param([], "well_separated_n400_analyze.json", id="k2"),
+_WELL_CSV = str(Path("tests") / "data" / "well_separated_n400.csv")
+
+
+@pytest.mark.parametrize("argv,golden", [
+    pytest.param(["analyze", _WELL_CSV, "--format", "json"], "well_separated_n400_analyze.json", id="k2"),
     # the interval resamples with integers and draws no normals
-    pytest.param(["--ci", "--resamples", "99"], "well_separated_n400_analyze_ci.json", id="ci"),
+    pytest.param(["analyze", _WELL_CSV, "--format", "json", "--ci", "--resamples", "99"],
+                 "well_separated_n400_analyze_ci.json", id="ci"),
+    # the Silverman test and the table2 samples draw normals, through the package's own inverse CDF
+    pytest.param(["test", _WELL_CSV, "--method", "silverman", "--format", "json", "--seed", "0"],
+                 "well_separated_n400_silverman.json", id="silverman"),
+    pytest.param(["benchmark", "--suite", "table2", "--seeds", "0..9", "--out", "{out}"],
+                 "table2_seeds0-9.csv", id="table2"),
 ])
-def test_analyze_in_a_fresh_process_loads_no_scipy(flags, golden, tmp_path):
-    data = Path("tests") / "data"
-    argv = ["analyze", str(data / "well_separated_n400.csv"), "--format", "json", *flags]
+def test_command_in_a_fresh_process_loads_no_scipy(argv, golden, tmp_path):
+    # a command given --out writes its answer there, the others to stdout
+    written = tmp_path / golden
+    argv = [arg.format(out=written) for arg in argv]
     out, scipy_modules = _fresh_process(tmp_path, "from modality.cli import main; assert main(sys.argv[1:]) == 0", *argv)
-    assert out == (Path(__file__).resolve().parent / "data" / golden).read_bytes()
+    got = written.read_bytes() if "--out" in argv else out
+    assert got == (Path(__file__).resolve().parent / "data" / golden).read_bytes()
+    assert scipy_modules == []
+
+
+def test_sampling_and_the_silverman_test_load_no_scipy(tmp_path):
+    out, scipy_modules = _fresh_process(
+        tmp_path, "from modality import MixtureSpec, sample_mixture, silverman_test; "
+        "x = sample_mixture(MixtureSpec(((0.5, -2.0, 0.5), (0.5, 2.0, 0.5)), 200), 0); "
+        "print(silverman_test(x, resamples=99, seed=0).p_value)")
+    assert 0.0 < float(out) <= 1.0
     assert scipy_modules == []

@@ -1,9 +1,12 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
 import modality.rng as rng_mod
 from modality import MixtureSpec, ValidationError, resample_with_replacement, sample_mixture
-from modality.rng import _substreams, component_counts, derive_seed, random_open01, substream
+from modality.rng import _EXPM2, _log, _ndtri, _substreams, component_counts, derive_seed, random_open01, substream
 
 
 def test_single_component_sanity():
@@ -90,6 +93,12 @@ def test_resample_empty_rejected():
         resample_with_replacement(np.array([]), seed=0)
 
 
+@pytest.mark.parametrize("x", [np.ones((3, 2)), np.arange(4.0).reshape(4, 1)], ids=["3x2", "4x1"])
+def test_resample_rejects_a_sample_that_is_not_1d(x):
+    with pytest.raises(ValidationError, match=re.escape(f"sample: expected 1-dimensional data, got shape {x.shape}")):
+        resample_with_replacement(x, seed=0)
+
+
 def test_bootstrap_inclusion_probability():
     # P(element appears in a resample) = 1 - (1 - 1/n)^n ~ 0.636 for n = 50
     x = np.arange(50, dtype=float)
@@ -159,6 +168,33 @@ def test_random_open01_top_word_stays_below_one():
     u = random_open01(_Words(), 2)
     # (2^53 - 1 + 0.5) 2^-53 rounds to 1.0; the draw is capped just below it
     assert u.tolist() == [np.nextafter(1.0, 0.0), 2.0**-54]
+
+
+def test_ndtri_equals_scipy_bit_for_bit():
+    from scipy.special import ndtri
+
+    # the open-interval draws the package transforms
+    u = np.concatenate([random_open01(substream(seed, "ndtri"), 500_000) for seed in (0, 1)])
+    np.testing.assert_array_equal(_ndtri(u).view(np.int64), ndtri(u).view(np.int64))
+    # each branch's edges and their neighbours, and the extremes random_open01 returns
+    edges = np.array([_EXPM2, 1.0 - _EXPM2, 0.5, 2.0**-54, 1.0 - 2.0**-53])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    edges = edges[(edges > 0.0) & (edges < 1.0)]
+    # both tails down to 2^-54, past exp(-32) (about 1.27e-14) into the P2/Q2 branch
+    lower = np.geomspace(2.0**-54, _EXPM2, 100_000)
+    p = np.concatenate([edges, lower, 1.0 - lower[lower >= 2.0**-53]])
+    assert np.count_nonzero(p < np.exp(-32.0)) > 1000
+    np.testing.assert_array_equal(_ndtri(p).view(np.int64), ndtri(p).view(np.int64))
+
+
+def test_ndtri_log_is_the_c_library_log():
+    # _ndtri's logs read y in [2^-54, exp(-2)] and sqrt(-2 log y) in [2, 8.7]:
+    # log(exp(-2)) rounds to -2, so the second range starts at 2.0
+    assert math.log(_EXPM2) == -2.0
+    u = random_open01(substream(2, "log"), 200_000)
+    y = np.concatenate([np.geomspace(2.0**-54, _EXPM2, 100_000), u[u <= _EXPM2]])
+    for a in (y, np.sqrt(-2.0 * _log(y))):
+        assert _log(a).tolist() == [math.log(v) for v in a.tolist()]
 
 
 def test_seed_validation():
