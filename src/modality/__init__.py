@@ -3,14 +3,17 @@
 One-dimensional multimodality detection built on kernel density
 estimation: critical bandwidth search with bootstrap intervals, the
 Silverman, dip, and excess-mass tests, trough-split component
-decomposition, a strength metric, tabular file ingestion, and a
-benchmark harness. See the README for the CLI.
+decomposition, a strength metric, ``analyze`` (the critical bandwidth,
+modes, decomposition and strength in one call), tabular file ingestion,
+and a benchmark harness. See the README for the CLI.
 """
 
 from .decompose import (
+    Analysis,
     Component,
     Decomposition,
     StrengthReport,
+    analyze,
     bimodality_strength,
     detect_components,
 )
@@ -55,6 +58,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
+    "Analysis",
     "Component",
     "CritBandResult",
     "Decomposition",
@@ -67,6 +71,7 @@ __all__ = [
     "Table",
     "TestResult",
     "Trough",
+    "analyze",
     "as_sample",
     "parse_markdown_table",
     "read_data",

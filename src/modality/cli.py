@@ -2,10 +2,12 @@
 
 Subcommands: ``analyze`` (bandwidths, modes, decomposition, strength),
 ``test`` (silverman | dip | excess), ``modes``, ``decompose``, and
-``benchmark`` (table2 | scalability suites).
+``benchmark`` (table2 | scalability suites). Each reads its file and calls
+the library: ``analyze`` reports :func:`modality.analyze` plus the input.
 
 Exit codes are a stable contract: 0 success, 1 usage error, 2 input or
-data error, 3 solver or test failure. Each command returns its report;
+data error, 3 solver or test failure. Each command returns its report
+(``benchmark`` its rendered table, after writing any ``--out`` file);
 ``main`` alone prints it and maps each failure to its exit code. The
 default seed is 0, overridable by the ``MODALITY_SEED`` environment
 variable; an explicit ``--seed`` wins over both. Reports render as text
@@ -23,19 +25,11 @@ import sys
 import numpy as np
 
 from . import benchmark as bench
-from .decompose import _components_of_curve, _strength_of, detect_components
-from .errors import (
-    ModalityError,
-    NotBimodalError,
-    SolverError,
-    TestInconclusiveError,
-    ValidationError,
-)
+from .decompose import analyze, detect_components
+from .errors import ModalityError, NotBimodalError, SolverError, TestInconclusiveError, ValidationError
 from .io import _read_numbers
 from .kde import _kde_at, _silverman_bandwidth, as_sample
-from .modes import _modes_of_curve
-from .rng import _check_seed
-from .solver import _bootstrap, _solve
+from .modes import _modes_of_curve, _modes_payload
 from .stattests import dip_test, excess_mass, silverman_test
 
 __all__ = ["main"]
@@ -100,59 +94,10 @@ def _load(args) -> tuple[np.ndarray, dict]:
     return x, {"path": str(args.path), "column": args.column, "n": int(x.size)}
 
 
-def _modes_payload(mode_set) -> dict:
-    return {
-        "count": int(mode_set.count),
-        "locations": [float(v) for v in mode_set.locations],
-        "heights": [float(v) for v in mode_set.heights],
-    }
-
-
 def cmd_analyze(args) -> dict:
     x, descriptor = _load(args)
-    x = as_sample(x)  # at least 2 finite numbers from the reader, sorted once here
-    if args.ci:
-        _check_seed(args.seed)  # before the point solve, not at the interval's first replicate
-    h_silverman = _silverman_bandwidth(x)
-
-    # the one curve at h0 gives the modes, the decomposition and the first
-    # mode count of the solves below, which start at h0
-    curve = _kde_at(x, h_silverman)
-    mode_runs = _modes_of_curve(curve)
-    mode_set = mode_runs[0]
-    result = _solve(x, args.k, mode_set.count)
-    if not result.success:  # before the interval draws a replicate
-        raise SolverError(f"critical bandwidth search failed (k={args.k}, iterations={result.iterations})")
-    if args.ci:
-        result = _bootstrap(x, result, args.resamples, args.seed)
-
-    decomposition = None
-    if mode_set.count >= 2:
-        decomposition = dataclasses.asdict(_components_of_curve(x, curve, mode_runs))
-    try:
-        solved = result if args.k == 2 else _solve(x, 2, mode_set.count)
-        strength = dataclasses.asdict(_strength_of(solved, h_silverman))
-    except SolverError:
-        strength = None
-
-    return {
-        "input": descriptor,
-        "h_silverman": h_silverman,
-        "h_crit": result.h_crit,
-        "k": result.k,
-        "success": result.success,
-        "iterations": result.iterations,
-        "ci": None if result.ci_method is None else {
-            "low": result.ci_low,
-            "high": result.ci_high,
-            "std_error": result.std_error,
-            "method": result.ci_method,
-            "failures": result.ci_failures,
-        },
-        "modes": _modes_payload(mode_set),
-        "decomposition": decomposition,
-        "strength": strength,
-    }
+    analysis = analyze(x, args.k, args.resamples if args.ci else None, args.seed)
+    return {"input": descriptor, **dataclasses.asdict(analysis)}
 
 
 def cmd_test(args) -> dict:
@@ -212,7 +157,7 @@ def _parse_seed_range(raw: str) -> tuple[int, ...]:
     return seeds
 
 
-def cmd_benchmark(args) -> None:
+def cmd_benchmark(args) -> str:
     seeds = _parse_seed_range(args.seeds)
     if args.suite == "table2":
         rows = bench.run_table2(seeds)
@@ -222,11 +167,11 @@ def cmd_benchmark(args) -> None:
         rows = bench.run_scalability(seed=seeds[0])
         text = bench.scalability_to_text(rows)
         csv_payload = bench.scalability_to_csv(rows)
-    print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-            f.write(csv_payload)
-        print(f"\nwrote {args.out}")
+    if not args.out:
+        return text
+    with open(args.out, "w", encoding="utf-8", newline="\n") as f:
+        f.write(csv_payload)
+    return f"{text}\n\nwrote {args.out}"
 
 
 def _build_parser() -> _Parser:
@@ -284,7 +229,7 @@ def main(argv=None) -> int:
     except _UsageExit as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValidationError, FileNotFoundError) as e:
+    except (ValidationError, OSError) as e:  # OSError: a missing input, an --out that cannot be written
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (SolverError, TestInconclusiveError, NotBimodalError) as e:
@@ -293,7 +238,9 @@ def main(argv=None) -> int:
     except ModalityError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
-    if report is not None:
+    if isinstance(report, str):  # the benchmark's table, rendered by its suite
+        print(report)
+    else:
         _emit(report, args.format)
     return EXIT_OK
 

@@ -1,4 +1,5 @@
-"""Two-component decomposition and the bimodality strength metric."""
+"""Two-component decomposition, the bimodality strength metric, and
+:func:`analyze`, which reports both with the critical bandwidth in one call."""
 
 from __future__ import annotations
 
@@ -8,15 +9,18 @@ import numpy as np
 
 from .errors import NotBimodalError, SolverError
 from .kde import _kde_at, _silverman_bandwidth, as_sample
-from .modes import _modes_of_curve, _trough_of_curve
-from .solver import CritBandResult, _solve
+from .modes import _modes_of_curve, _modes_payload, _trough_of_curve
+from .rng import _check_seed
+from .solver import CritBandResult, _bootstrap, _solve
 
 __all__ = [
+    "Analysis",
     "Component",
     "Decomposition",
     "StrengthReport",
     "detect_components",
     "bimodality_strength",
+    "analyze",
     "classify_strength",
     "STRENGTH_MODERATE",
     "STRENGTH_STRONG",
@@ -125,3 +129,55 @@ def _strength_of(result: CritBandResult, h0: float) -> StrengthReport:
         raise SolverError("strength: critical bandwidth search did not verify a transition")
     ratio = result.h_crit / h0
     return StrengthReport(ratio=float(ratio), label=classify_strength(float(ratio)))
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """The report of :func:`analyze`; ``dataclasses.asdict`` of it is the
+    CLI's ``analyze`` report without ``input``."""
+
+    h_silverman: float
+    h_crit: float
+    k: int
+    success: bool
+    iterations: int
+    ci: dict | None
+    modes: dict
+    decomposition: Decomposition | None
+    strength: StrengthReport | None
+
+
+def analyze(x, k: int = 2, resamples: int | None = None, seed: int = 0) -> Analysis:
+    """Is ``x`` multimodal, and how strongly? The critical bandwidth for ``k``,
+    the modes and decomposition at the rule-of-thumb h0, and the strength,
+    from one validation and one curve at h0, whose mode count seeds each solve.
+
+    ``ci`` is the bootstrap interval of ``resamples`` replicates keyed on
+    ``seed``, drawn only when ``resamples`` is given; ``decomposition`` is
+    None below two modes at h0, and ``strength`` when the k = 2 search fails.
+    A search for ``k`` that does not verify raises :class:`SolverError`.
+    """
+    x = as_sample(x, min_size=2)
+    if resamples is not None:
+        _check_seed(seed)  # before the point solve, not at the interval's first replicate
+    h0 = _silverman_bandwidth(x)
+    # the one curve at h0 gives the modes, the decomposition and the first
+    # mode count of the solves below, which start at h0
+    curve = _kde_at(x, h0)
+    mode_runs = _modes_of_curve(curve)
+    count = mode_runs[0].count
+    result = _solve(x, k, count)
+    if not result.success:  # before the interval draws a replicate
+        raise SolverError(f"critical bandwidth search failed (k={k}, iterations={result.iterations})")
+    if resamples is not None:
+        result = _bootstrap(x, result, resamples, seed)
+    decomposition = _components_of_curve(x, curve, mode_runs) if count >= 2 else None
+    try:
+        strength = _strength_of(result if k == 2 else _solve(x, 2, count), h0)
+    except SolverError:
+        strength = None
+    ci = None if result.ci_method is None else {
+        "low": result.ci_low, "high": result.ci_high, "std_error": result.std_error,
+        "method": result.ci_method, "failures": result.ci_failures}
+    return Analysis(h0, result.h_crit, result.k, result.success, result.iterations,
+                    ci, _modes_payload(mode_runs[0]), decomposition, strength)

@@ -194,6 +194,12 @@ def _modes_of_curve(curve: DensityCurve) -> tuple[ModeSet, np.ndarray, np.ndarra
     return ModeSet(locations=locations, heights=heights), starts, ends
 
 
+def _modes_payload(mode_set: ModeSet) -> dict:
+    """``mode_set`` as the plain ``count``, ``locations`` and ``heights`` of a report."""
+    return {"count": mode_set.count, "locations": mode_set.locations.tolist(),
+            "heights": mode_set.heights.tolist()}
+
+
 def find_modes(x, h) -> ModeSet:
     """Locate the modes of the KDE of ``x`` at bandwidth ``h``."""
     modes, _, _ = _modes_of_curve(_kde_at(as_sample(x), h))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from modality import (
+    analyze,
     bimodality_strength,
     critical_bandwidth,
     detect_components,
@@ -21,9 +22,11 @@ from modality.benchmark import (
     rows_to_csv,
     rows_to_text,
     run_scalability,
+    run_table2,
     scalability_to_text,
 )
-from modality.cli import _modes_payload, main
+from modality.cli import main
+from modality.modes import _modes_payload
 from tests.conftest import WELL_SEPARATED
 
 
@@ -308,6 +311,32 @@ def test_analyze_k3_output_matches_golden_file(capsys, monkeypatch):
     assert capsys.readouterr().out.encode() == (data / "well_separated_n400_analyze_k3.json").read_bytes()
 
 
+@pytest.mark.parametrize("kwargs,golden", [
+    pytest.param({}, "analyze", id="k2"),
+    pytest.param({"resamples": 99}, "analyze_ci", id="ci"),
+    pytest.param({"k": 3}, "analyze_k3", id="k3"),
+])
+def test_library_analyze_equals_golden_report(kwargs, golden):
+    # the golden files are the CLI's reports; the library's is the same without ``input``
+    data = Path(__file__).resolve().parent / "data"
+    expected = json.loads((data / f"well_separated_n400_{golden}.json").read_text())
+    del expected["input"]
+    report = dataclasses.asdict(analyze(read_data(data / "well_separated_n400.csv"), **kwargs))
+    assert json.loads(json.dumps(report)) == expected
+
+
+@pytest.mark.parametrize("resamples", [None, 99], ids=["plain", "ci"])
+def test_library_analyze_equals_cli_report_on_a_unimodal_sample(resamples, capsys):
+    path = Path(__file__).resolve().parent / "data" / "normal_n400.csv"
+    flags = [] if resamples is None else ["--ci", "--resamples", str(resamples)]
+    assert main(["analyze", str(path), "--format", "json", "--seed", "5", *flags]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["input"]
+    assert report["decomposition"] is None
+    analysis = analyze(read_data(path), resamples=resamples, seed=5)
+    assert json.loads(json.dumps(dataclasses.asdict(analysis))) == report
+
+
 def test_analyze_output_matches_golden_file_in_every_format(tmp_path, capsys, monkeypatch):
     # the golden file is the CSV's stdout, run from the repository root
     monkeypatch.chdir(Path(__file__).resolve().parents[1])
@@ -460,6 +489,26 @@ def test_scalability_rows():
 def test_benchmark_bad_seeds_is_usage_error(argv, capsys):
     assert main(["benchmark", *argv]) == 1
     assert capsys.readouterr().err.startswith("usage error: --seeds:")
+
+
+def test_benchmark_table2_prints_its_table_then_the_written_file(tmp_path, capsys):
+    text = rows_to_text(run_table2(tuple(range(10))))
+    assert main(["benchmark", "--suite", "table2", "--seeds", "0..9"]) == 0
+    assert capsys.readouterr().out == text + "\n"
+    out = tmp_path / "table2.csv"
+    assert main(["benchmark", "--suite", "table2", "--seeds", "0..9", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"{text}\n\nwrote {out}\n"
+    assert out.read_bytes() == (Path(__file__).resolve().parent / "data" / "table2_seeds0-9.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["missing/table2.csv", "."], ids=["missing_directory", "directory"])
+def test_benchmark_unwritable_out_prints_nothing(name, tmp_path, capsys):
+    # the CSV is written before the table is returned, so a failed write prints no table
+    out = tmp_path / name
+    assert main(["benchmark", "--suite", "table2", "--seeds", "0..0", "--out", str(out)]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith("data error: ") and str(out) in stderr
 
 
 def test_benchmark_cli_writes_csv(tmp_path, capsys):

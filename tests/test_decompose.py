@@ -1,13 +1,21 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from modality import (
+    Decomposition,
     MixtureSpec,
     NotBimodalError,
+    SolverError,
+    StrengthReport,
+    analyze,
     bimodality_strength,
+    critical_bandwidth,
     detect_components,
     find_modes,
     find_trough,
+    read_data,
     sample_mixture,
     silverman_bandwidth,
 )
@@ -112,3 +120,38 @@ def test_components_come_from_one_evaluation(well_separated, monkeypatch, kde_ba
     assert len(scans) == 1  # one mode scan serves the count check and the trough
     assert decomp.separation_point == trough.location
     assert decomp.dip_ratio == trough.ratio
+
+
+@pytest.mark.parametrize("resamples", [None, 99], ids=["plain", "ci"])
+def test_analyze_evaluates_each_bandwidth_once(well_separated, resamples, kde_bandwidths):
+    iterations = critical_bandwidth(well_separated, k=2).iterations
+    seen = kde_bandwidths
+    seen.clear()
+    analysis = analyze(well_separated, resamples=resamples)
+    # one curve at h0 for the modes and the decomposition, which is also the
+    # first mode count of the one k = 2 solve, reused for the strength and as
+    # the interval's point estimate; the replicates come after it
+    assert analysis.iterations == iterations
+    point = seen[:iterations]
+    assert len(set(point)) == len(point) == iterations
+    assert seen[0] == analysis.h_silverman
+    assert seen.count(analysis.h_silverman) == 1
+    assert (len(seen) > iterations) == (resamples is not None)
+    assert isinstance(analysis.decomposition, Decomposition)
+    assert isinstance(analysis.strength, StrengthReport)
+    assert (analysis.ci is None) == (resamples is None)
+
+
+def test_analyze_unverified_search_raises_before_the_interval(kde_bandwidths):
+    # k = 1 has no attainable target, so the search never verifies: the call
+    # raises the CLI's message and the interval draws no replicate
+    x = read_data(Path(__file__).parent / "data" / "well_separated_n400.csv")
+    seen = []
+    for resamples in (None, 99):
+        kde_bandwidths.clear()
+        with pytest.raises(SolverError) as failure:
+            analyze(x, k=1, resamples=resamples)
+        assert str(failure.value) == "critical bandwidth search failed (k=1, iterations=6)"
+        seen.append(list(kde_bandwidths))
+    assert seen[0] == seen[1]
+    assert len(set(seen[0])) == len(seen[0]) == 6

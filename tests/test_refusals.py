@@ -32,7 +32,7 @@ from modality import (
     silverman_bandwidth,
     silverman_test,
 )
-from modality import cli, solver, stattests
+from modality import cli, decompose, solver, stattests
 from tests.conftest import WELL_SEPARATED
 
 _LINE = np.arange(20.0)
@@ -155,7 +155,7 @@ def test_a_bad_seed_is_refused_before_any_solve_or_walk(bimodal, call, message, 
 
 
 def test_analyze_refuses_a_bad_seed_before_its_point_solve(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_solve", lambda *args: pytest.fail("solved before the seed was checked"))
+    monkeypatch.setattr(decompose, "_solve", lambda *args: pytest.fail("solved before the seed was checked"))
     data = Path(__file__).resolve().parent / "data" / "well_separated_n400.csv"
     assert cli.main(["analyze", str(data), "--ci", "--resamples", "99", "--seed", "-1"]) == 2
     assert capsys.readouterr().err == "data error: seed: must be in [0, 2**64), got -1\n"

@@ -3,14 +3,15 @@
 Every layer below a public function takes the sorted sample it is given,
 so a solve of 17 KDE evaluations, a bootstrap of 99 replicates and every
 CLI command all sort the data once. A command's file reader returns the
-numbers unsorted; ``test`` and ``decompose`` pass them to the public
-procedure, and ``analyze`` and ``modes`` validate them at their start.
+numbers unsorted; ``analyze``, ``test`` and ``decompose`` pass them to
+the public procedure, and ``modes`` validates them at its start.
 """
 
 import numpy as np
 import pytest
 
 from modality import (
+    analyze,
     bimodality_strength,
     critical_bandwidth,
     critical_bandwidth_ci,
@@ -38,6 +39,8 @@ CALLS = {
     "detect_components": lambda x, path: detect_components(x),
     "excess_mass": lambda x, path: excess_mass(x),
     "dip_test": lambda x, path: dip_test(x, resamples=199, seed=0),
+    "analyze_library": lambda x, path: analyze(x),
+    "analyze_library_ci": lambda x, path: analyze(x, resamples=99),
     "analyze": lambda x, path: _cli("analyze", str(path), "--format", "json"),
     "analyze_ci": lambda x, path: _cli("analyze", str(path), "--format", "json",
                                        "--ci", "--resamples", "99"),
