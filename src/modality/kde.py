@@ -147,7 +147,7 @@ def _check_size(x: np.ndarray, min_size: int) -> None:
 
 def _check_count(name: str, value, least: int) -> None:
     """Check that ``value``, the argument ``name``, is an integer of at least ``least``."""
-    if not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name}: must be an integer >= {least}, got {value!r}")
     if value < least:
         raise ValidationError(f"{name}: must be >= {least}, got {value}")
@@ -410,12 +410,6 @@ _BLOCK_VALUES = 48_000
 def _block_rows(values_per_row: int) -> int:
     """Rows of ``values_per_row`` values that make one block of about _BLOCK_VALUES values."""
     return max(1, _BLOCK_VALUES // values_per_row)
-
-
-def _blocks(resamples: int, values_per_row: int) -> list[range]:
-    """Replicate indices 0 .. resamples - 1, split into blocks of about _BLOCK_VALUES values."""
-    rows = _block_rows(values_per_row)
-    return [range(i, min(i + rows, resamples)) for i in range(0, resamples, rows)]
 
 
 def _kde_rows_at(rows: np.ndarray, h) -> np.ndarray:

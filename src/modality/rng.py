@@ -22,28 +22,28 @@ seed reproduces bit-identical results across platforms and runs:
 Independent consumers (mixture sampling, bootstrap replicate *i*, ...)
 derive their own stream from ``(seed, purpose tag, index)``, which keeps
 replicate streams independent of evaluation order. :func:`substream` is
-the reference for that derivation. The Monte Carlo tests' replicate loops
-key their streams in bulk through ``_substreams``, which hashes every
-index at once and gives each one the state ``substream`` gives it.
+the reference for that derivation. The Monte Carlo tests draw their rows
+through ``_replicate_blocks``, which keys them in bulk (``_substreams``
+hashes every index at once, with the state ``substream`` gives it); the
+bootstrap interval still keys each replicate alone, with :func:`derive_seed`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .kde import _check_1d
+from .kde import _block_rows, _check_1d
 
 __all__ = [
     "MixtureSpec",
     "substream",
     "derive_seed",
     "random_open01",
-    "standard_normals",
     "component_counts",
     "sample_mixture",
     "resample_with_replacement",
@@ -68,7 +68,7 @@ WEIGHT_SUM_TOL = 1e-12
 
 
 def _check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)):
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValidationError(f"seed: expected an integer, got {type(seed).__name__}")
     if not 0 <= seed <= _SEED_MAX:
         raise ValidationError(f"seed: must be in [0, 2**64), got {seed}")
@@ -167,6 +167,18 @@ def _substreams(seed: int, tag: str, indices: range) -> Iterator[np.random.Gener
                 bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                        "has_uint32": 0, "uinteger": 0}
                 yield rng
+
+
+def _replicate_blocks(seed: int, tag: str, resamples: int, values_per_row: int,
+                      draw: Callable[[np.random.Generator], tuple]) -> Iterator[tuple[np.ndarray, ...]]:
+    """Replicates 0 .. resamples - 1 of ``(seed, tag)``, ``kde._block_rows(values_per_row)``
+    to a block: each block stacks, row by row, the arrays ``draw(g)`` returns
+    for replicate i's generator g, keyed in bulk as ``substream(seed, tag, i)``."""
+    streams = _substreams(seed, tag, range(resamples))
+    rows = _block_rows(values_per_row)
+    for start in range(0, resamples, rows):
+        block = [draw(next(streams)) for _ in range(min(rows, resamples - start))]
+        yield tuple(np.stack(column) for column in zip(*block))
 
 
 def derive_seed(seed: int, tag: str, index: int = 0) -> int:
@@ -291,11 +303,6 @@ def _ndtri(p: np.ndarray) -> np.ndarray:
     np.negative(x0, out=x0, where=~np.take(flip, tail))
     np.put(x, tail, x0)
     return x
-
-
-def standard_normals(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Standard normal draws: :func:`_ndtri` of :func:`random_open01`'s uniforms."""
-    return _ndtri(random_open01(rng, size))
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TestInconclusiveError
-from .kde import _blocks, _check_count, _grid_size, _kde_at, _kde_rows_at, _silverman_bandwidth, as_sample
+from .kde import _check_count, _grid_size, _kde_at, _kde_rows_at, _silverman_bandwidth, as_sample
 from .modes import _at_most_modes
-from .rng import _check_seed, _ndtri, _open01, _substreams
+from .rng import _check_seed, _ndtri, _open01, _replicate_blocks
 from .solver import _solve
 
 __all__ = [
@@ -86,19 +86,18 @@ def silverman_test(x, mod0: int = 1, resamples: int = 999, seed: int = 0) -> Tes
     the bandwidth, exactly the event that its own critical bandwidth is
     at least the observed one.
 
-    Replicates are drawn and evaluated in blocks of rows. Row ``i`` still
-    draws from its own substream ``(seed, "silverman", i)`` (keyed in bulk;
-    the seed is checked with the other arguments, before the solve) with
-    the same arithmetic, and its density on its own default grid is bit for bit
-    the one ``kde_fft`` gives, so the p-value does not depend on the
-    block size. The whole block's mode counts are compared with ``mod0``
-    at once, with the exact answer of a row-by-row count.
+    Replicate rows are drawn through ``rng._replicate_blocks`` and evaluated
+    in blocks. Row ``i`` draws from its own substream
+    ``(seed, "silverman", i)`` (keyed in bulk; the seed is checked with the
+    other arguments, before the solve), and its density on its own default
+    grid is bit for bit the one ``kde_fft`` gives, so the p-value does not
+    depend on the block size. The whole block's mode counts are compared
+    with ``mod0`` at once, with the exact answer of a row-by-row count.
     """
     x = as_sample(x, min_size=10)
     _check_count("mod0", mod0, 1)
     _check_count("resamples", resamples, 99)
     _check_seed(seed)
-    streams = _substreams(seed, "silverman", range(resamples))
 
     solved = _solve(x, mod0 + 1)
     if not solved.success:
@@ -111,15 +110,10 @@ def silverman_test(x, mod0: int = 1, resamples: int = 999, seed: int = 0) -> Tes
     shrink = 1.0 / np.sqrt(1.0 + h * h / np.var(x, ddof=1))
 
     exceed = 0
-    for block in _blocks(resamples, n + _grid_size(n)):
-        idx = np.empty((len(block), n), dtype=np.int64)
-        noise = np.empty((len(block), n))
-        for row in range(len(block)):
-            rng = next(streams)
-            idx[row] = rng.integers(0, n, size=n)
-            rng.random(out=noise[row])
-        noise = _ndtri(_open01(noise))
-        y = center + (x[idx] + h * noise - center) * shrink
+    blocks = _replicate_blocks(seed, "silverman", resamples, n + _grid_size(n),
+                               lambda g: (g.integers(0, n, size=n), g.random(n)))
+    for idx, noise in blocks:
+        y = center + (x[idx] + h * _ndtri(_open01(noise)) - center) * shrink
         y.sort(axis=1)
         exceed += int(np.count_nonzero(~_at_most_modes(_kde_rows_at(y, h), mod0)))
     p = (1.0 + exceed) / (resamples + 1.0)
@@ -260,31 +254,26 @@ def dip_test(x, resamples: int = 999, seed: int = 0) -> TestResult:
     unimodal null without lookup tables. The sample is validated once;
     each null replicate is already finite, so it is only sorted.
 
-    Null rows are drawn in blocks, row ``i`` from substream
-    ``(seed, "dip", i)`` (keyed in bulk; the seed is checked with the
-    other arguments, before the observed dip is walked), and screened
-    before the hull walk. The
-    Uniform(0, 1) CDF is itself unimodal, so a row's dip, its distance
-    to the nearest unimodal CDF, is at most its Kolmogorov-Smirnov
-    distance to the uniform. A row whose KS distance, enlarged by a
-    relative 1e-9 for rounding, is below the observed dip therefore
-    cannot count as an exceedance, and skips the walk. A row whose dip
-    floor, a lower bound on its dip from chords across windows of its
-    points, is above the observed dip so enlarged counts as one, and
-    skips the walk too. Only the rows between the two bounds are walked,
-    and the p-value is exactly the one walking every row gives.
+    Null rows are drawn in blocks through ``rng._replicate_blocks``, row
+    ``i`` from substream ``(seed, "dip", i)`` (keyed in bulk; the seed is
+    checked with the other arguments, before the observed dip is walked),
+    and screened before the hull walk. The Uniform(0, 1) CDF is itself
+    unimodal, so a row's dip, its distance to the nearest unimodal CDF, is
+    at most its Kolmogorov-Smirnov distance to the uniform. A row whose KS
+    distance, enlarged by a relative 1e-9 for rounding, is below the
+    observed dip therefore cannot count as an exceedance, and skips the
+    walk. A row whose dip floor, a lower bound on its dip from chords across
+    windows of its points, is above the observed dip so enlarged counts as
+    one, and skips the walk too. Only the rows between the two bounds are
+    walked, and the p-value is exactly the one walking every row gives.
     """
     x = as_sample(x, min_size=4)
     _check_count("resamples", resamples, 199)
     _check_seed(seed)
-    streams = _substreams(seed, "dip", range(resamples))
     d = _dip_of_sorted(x)
     n = x.size
     exceed = 0
-    for block in _blocks(resamples, n):
-        u = np.empty((len(block), n))
-        for row in range(len(block)):
-            next(streams).random(out=u[row])
+    for (u,) in _replicate_blocks(seed, "dip", resamples, n, lambda g: (g.random(n),)):
         _open01(u)
         u.sort(axis=1)
         # dip <= KS: a row whose KS is below d cannot reach it

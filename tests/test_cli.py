@@ -1,5 +1,7 @@
 import dataclasses
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import modality
 from modality import (
     analyze,
     bimodality_strength,
@@ -568,3 +571,10 @@ def test_sampling_and_the_silverman_test_load_no_scipy(tmp_path):
         "print(silverman_test(x, resamples=99, seed=0).p_value)")
     assert 0.0 < float(out) <= 1.0
     assert scipy_modules == []
+
+
+@pytest.mark.parametrize("name", ["modality"] + [f"modality.{module.name}"
+                                                 for module in pkgutil.iter_modules(modality.__path__)])
+def test_every_name_in_all_is_defined(name):
+    module = importlib.import_module(name)
+    assert [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)] == []

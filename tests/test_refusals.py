@@ -89,6 +89,9 @@ _CASES = [
                  re.escape("components[0].std: must be positive, got 0.0"), id="std-0"),
     pytest.param(lambda: sample_mixture(_SPEC, "0"), "seed: expected an integer, got str", id="seed-str"),
     pytest.param(lambda: sample_mixture(_SPEC, 1.5), "seed: expected an integer, got float", id="seed-float"),
+    pytest.param(lambda: sample_mixture(_SPEC, True), "seed: expected an integer, got bool", id="seed-bool"),
+    pytest.param(lambda: dip_test(_LINE, resamples=199, seed=True), "seed: expected an integer, got bool",
+                 id="dip_test-seed-bool"),
     pytest.param(lambda: sample_mixture(_SPEC, -1), re.escape("seed: must be in [0, 2**64), got -1"),
                  id="seed-negative"),
 ]

@@ -4,9 +4,11 @@ import re
 import numpy as np
 import pytest
 
+import modality.kde as kde_mod
 import modality.rng as rng_mod
 from modality import MixtureSpec, ValidationError, resample_with_replacement, sample_mixture
-from modality.rng import _EXPM2, _log, _ndtri, _substreams, component_counts, derive_seed, random_open01, substream
+from modality.rng import (_EXPM2, _log, _ndtri, _replicate_blocks, _substreams, component_counts, derive_seed,
+                          random_open01, substream)
 
 
 def test_single_component_sanity():
@@ -144,6 +146,23 @@ def test_bulk_keyed_streams_equal_substream_for_a_one_word_tag(tag_hash, monkeyp
         for indices in (range(3), range(2**32 - 1, 2**32 + 1)):
             assert _states(seed, "dip", indices) == [substream(seed, "dip", i).bit_generator.state
                                                      for i in indices]
+
+
+def test_replicate_blocks_equal_each_replicates_own_draws(monkeypatch):
+    # 40 rows a block: 199 replicates make four full blocks and a last one of 39 rows
+    n = 30
+    monkeypatch.setattr(kde_mod, "_BLOCK_VALUES", 40 * (n + 7))
+
+    def draw(g):  # the Silverman test's draw: indices and uniforms
+        return g.integers(0, n, size=n), g.random(n)
+
+    blocks = list(_replicate_blocks(5, "silverman", 199, n + 7, draw))
+    assert [len(idx) for idx, _ in blocks] == [40, 40, 40, 40, 39]
+    expected = [draw(substream(5, "silverman", i)) for i in range(199)]
+    for got, want in zip(zip(*blocks), zip(*expected)):
+        got = np.concatenate(got)
+        np.testing.assert_array_equal(got, np.stack(want))
+        assert got.dtype == want[0].dtype
 
 
 def test_bulk_keyed_streams_refuse_a_bad_seed():

@@ -12,6 +12,7 @@ import modality.stattests as stattests_mod
 from modality import (
     DegenerateSampleError,
     ValidationError,
+    analyze,
     bimodality_strength,
     critical_bandwidth,
     critical_bandwidth_ci,
@@ -339,7 +340,7 @@ def test_monte_carlo_tests_do_not_depend_on_the_block_size(
     samples = (well_separated, normal_500)
     expected = _monte_carlo_answers(samples)
     monkeypatch.setattr(kde_mod, "_BLOCK_VALUES", block_values)
-    assert len(kde_mod._blocks(199, well_separated.size + 800)) == blocks
+    assert -(-199 // kde_mod._block_rows(well_separated.size + 800)) == blocks
     assert (kde_mod._block_rows(well_separated.size + 800) >= 99) == (blocks == 1)
     assert _monte_carlo_answers(samples) == expected
 
@@ -359,7 +360,11 @@ def test_silverman_test_validation(normal_500):
     lambda x: critical_bandwidth_ci(x, resamples=99.0),
     lambda x: silverman_test(x, mod0=1.0),
     lambda x: critical_bandwidth(x, k=2.0),
-], ids=["silverman-resamples", "dip-resamples", "ci-resamples", "mod0", "k"])
+    lambda x: silverman_test(x, mod0=True),
+    lambda x: critical_bandwidth(x, k=True),
+    lambda x: analyze(x, k=True),
+], ids=["silverman-resamples", "dip-resamples", "ci-resamples", "mod0", "k", "mod0-bool", "k-bool",
+        "analyze-k-bool"])
 def test_counts_that_are_not_integers_fail_with_a_typed_error(call, well_separated):
     with pytest.raises(ValidationError, match="must be an integer >= "):
         call(well_separated)
