@@ -11,7 +11,7 @@ from .errors import NotBimodalError, SolverError
 from .kde import _kde_at, _silverman_bandwidth, as_sample
 from .modes import _modes_of_curve, _modes_payload, _trough_of_curve
 from .rng import _check_seed
-from .solver import CritBandResult, _bootstrap, _solve
+from .solver import CritBandResult, _bootstrap, _solve, _verified
 
 __all__ = [
     "Analysis",
@@ -124,10 +124,8 @@ def bimodality_strength(x) -> StrengthReport:
 
 
 def _strength_of(result: CritBandResult, h0: float) -> StrengthReport:
-    """:func:`bimodality_strength` from a k = 2 solve and the rule-of-thumb bandwidth."""
-    if not result.success:
-        raise SolverError("strength: critical bandwidth search did not verify a transition")
-    ratio = result.h_crit / h0
+    """:func:`bimodality_strength` from a k = 2 solve, :class:`SolverError` unless verified, and h0."""
+    ratio = _verified(result).h_crit / h0
     return StrengthReport(ratio=float(ratio), label=classify_strength(float(ratio)))
 
 
@@ -157,7 +155,7 @@ def analyze(x, k: int = 2, resamples: int | None = None, seed: int = 0) -> Analy
     None below two modes at h0, and ``strength`` when the k = 2 search fails.
     A search for ``k`` that does not verify raises :class:`SolverError`.
     """
-    x = as_sample(x, min_size=2)
+    x = as_sample(x, min_size=3)
     if resamples is not None:
         _check_seed(seed)  # before the point solve, not at the interval's first replicate
     h0 = _silverman_bandwidth(x)
@@ -166,9 +164,7 @@ def analyze(x, k: int = 2, resamples: int | None = None, seed: int = 0) -> Analy
     curve = _kde_at(x, h0)
     mode_runs = _modes_of_curve(curve)
     count = mode_runs[0].count
-    result = _solve(x, k, count)
-    if not result.success:  # before the interval draws a replicate
-        raise SolverError(f"critical bandwidth search failed (k={k}, iterations={result.iterations})")
+    result = _verified(_solve(x, k, count))  # before the interval draws a replicate
     if resamples is not None:
         result = _bootstrap(x, result, resamples, seed)
     decomposition = _components_of_curve(x, curve, mode_runs) if count >= 2 else None

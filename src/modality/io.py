@@ -207,6 +207,8 @@ def parse_markdown_table(text: str) -> Table:
     delimiter row is always the header, even when its cells are numbers.
     Pipes escaped as ``\\|`` stay inside their cell.
     """
+    if not isinstance(text, str):
+        raise DataFormatError(f"markdown: expected text, got {type(text).__name__}")
     lines = text.splitlines()
     piped = [*map(contains, lines, repeat("|")), False]  # the table ends where the text does
     if True not in piped:

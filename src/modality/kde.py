@@ -24,7 +24,6 @@ from __future__ import annotations
 import bisect
 import contextlib
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,41 +122,48 @@ def _next_fast_len(target: int) -> int:
     return lengths[bisect.bisect_left(lengths, target)]
 
 
-def as_sample(values, min_size: int = 1) -> np.ndarray:
-    """Validate and normalize raw observations into a sorted float array."""
-    x = np.asarray(values, dtype=np.float64)
-    _check_1d(x)
-    _check_size(x, min_size)
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("sample: all observations must be finite")
-    return np.sort(x)
-
-
-def _check_1d(x: np.ndarray) -> None:
-    """Check that a sample is a 1-dimensional array."""
+def _sample(values, min_size: int, finite: bool = True) -> np.ndarray:
+    """``values`` as a 1-D float64 array of at least ``min_size`` real observations, finite if ``finite``."""
+    try:
+        if (x := np.asarray(values)).dtype.kind == "c":  # a cast would drop the imaginary parts
+            raise TypeError(f"{x.dtype} values are not real")
+        x = x.astype(np.float64, copy=False)
+    except (TypeError, ValueError, OverflowError) as e:  # non-numeric, complex, ragged or huge
+        raise ValidationError(f"sample: expected real numbers ({e})") from None
     if x.ndim != 1:
         raise ValidationError(f"sample: expected 1-dimensional data, got shape {x.shape}")
-
-
-def _check_size(x: np.ndarray, min_size: int) -> None:
-    """Check that a sample holds at least ``min_size`` observations."""
     if x.size < min_size:
         raise ValidationError(f"sample: need at least {min_size} observations, got {x.size}")
+    if finite and not np.isfinite(x).all():
+        raise ValidationError("sample: all observations must be finite")
+    return x
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """Check that ``value``, the argument ``name``, is an integer of at least ``least``."""
+def as_sample(values, min_size: int = 1) -> np.ndarray:
+    """Validate and normalize raw observations into a sorted float array."""
+    return np.sort(_sample(values, min_size))
+
+
+def _check_count(name: str, value, least: int) -> int:
+    """``value``, the argument ``name``, as an ``int``: it must be an integer of at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name}: must be an integer >= {least}, got {value!r}")
     if value < least:
         raise ValidationError(f"{name}: must be >= {least}, got {value}")
+    return int(value)
 
 
-def _check_bandwidth(h) -> float:
-    h = float(h)
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValidationError(f"bandwidth: must be a positive finite real, got {h!r}")
-    return h
+def _check_real(name: str, value, positive: bool = False) -> float:
+    """``value``, the argument ``name``, as a finite ``float``, and a positive one if ``positive``."""
+    try:
+        if isinstance(value, np.complexfloating):  # float() would drop its imaginary part
+            raise TypeError
+        value = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name}: expected a real number, got {value!r}") from None
+    if not (math.isfinite(value) and (value > 0.0 or not positive)):
+        raise ValidationError(f"{name}: must be a {'positive ' if positive else ''}finite real, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -169,13 +175,9 @@ class Grid:
     size: int
 
     def __post_init__(self):
-        object.__setattr__(self, "size", operator.index(self.size))
-        if not math.isfinite(self.start):
-            raise ValidationError(f"grid: start must be finite, got {self.start!r}")
-        if not (math.isfinite(self.spacing) and self.spacing > 0.0):
-            raise ValidationError(f"grid: spacing must be a positive finite real, got {self.spacing!r}")
-        if self.size < 2:
-            raise ValidationError(f"grid: need at least 2 points, got {self.size}")
+        object.__setattr__(self, "start", _check_real("grid.start", self.start))
+        object.__setattr__(self, "spacing", _check_real("grid.spacing", self.spacing, positive=True))
+        object.__setattr__(self, "size", _check_count("grid.size", self.size, 2))
 
     @property
     def points(self) -> np.ndarray:
@@ -241,7 +243,7 @@ def default_grid(x, h) -> Grid:
 
 def _default_grid(x: np.ndarray, h) -> Grid:
     """:func:`default_grid` of a sample that is already validated and sorted."""
-    h = _check_bandwidth(h)
+    h = _check_real("bandwidth", h, positive=True)
     return Grid(*_grid_span(x[0], x[-1], x.size, h))
 
 
@@ -262,7 +264,7 @@ def _grid_span(first, last, n: int, h: float):
 def kde_direct(x, grid: Grid, h) -> DensityCurve:
     """Exact Gaussian KDE: mean of kernels centered at each observation."""
     x = as_sample(x)
-    h = _check_bandwidth(h)
+    h = _check_real("bandwidth", h, positive=True)
     pts = grid.points
     density = np.empty(pts.size)
     # chunk over grid points to bound the (chunk x n) scratch matrix
@@ -355,15 +357,13 @@ def kde_fft(x, grid: Grid, h) -> DensityCurve:
     kernel mass beyond 6h, under exp(-18) (1.5e-8) of an observation's
     own peak. Tiny negative roundoff lobes are clamped to zero.
 
-    The sample need not be sorted: binning only needs every observation
-    on the grid, and that span check also rejects NaN and infinity. A
-    bandwidth too narrow for a finite density, or too wide in grid steps
-    for a transform, raises :class:`ValidationError`.
+    The sample is held to :func:`as_sample`'s rule but for finiteness, which
+    the grid span check covers, and need not be sorted. A bandwidth too
+    narrow for a finite density, or too wide in grid steps for a
+    transform, raises :class:`ValidationError`.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValidationError(f"sample: expected non-empty 1-dimensional data, got shape {x.shape}")
-    h = _check_bandwidth(h)
+    x = _sample(x, 1, finite=False)
+    h = _check_real("bandwidth", h, positive=True)
     lo, hi = x.min(), x.max()
     if not (grid.start <= lo and hi <= grid.stop):
         raise GridSpanError(

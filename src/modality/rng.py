@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .kde import _block_rows, _check_1d
+from .kde import _block_rows, _check_count, _check_real, _sample
 
 __all__ = [
     "MixtureSpec",
@@ -317,23 +317,24 @@ class MixtureSpec:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "components", tuple(tuple(float(v) for v in c) for c in self.components)
-        )
+        try:
+            object.__setattr__(self, "components", tuple(
+                tuple(_check_real(f"components[{i}].{field}", v)
+                      for field, v in zip(("weight", "mean", "std"), c, strict=True))
+                for i, c in enumerate(self.components)))
+        except (TypeError, ValueError):  # not an iterable of triples
+            raise ValidationError(f"components: expected (weight, mean, std) triples, got {self.components!r}") from None
         if not self.components:
             raise ValidationError("components: at least one (weight, mean, std) required")
-        for i, (w, mean, std) in enumerate(self.components):
+        for i, (w, _, std) in enumerate(self.components):
             if not 0.0 < w <= 1.0:
                 raise ValidationError(f"components[{i}].weight: must be in (0, 1], got {w}")
-            if not np.isfinite(mean):
-                raise ValidationError(f"components[{i}].mean: must be finite, got {mean}")
-            if not (np.isfinite(std) and std > 0.0):
+            if not std > 0.0:
                 raise ValidationError(f"components[{i}].std: must be positive, got {std}")
         total = sum(w for w, _, _ in self.components)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValidationError(f"components: weights must sum to 1, got {total!r}")
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise ValidationError(f"n: must be an integer >= 1, got {self.n!r}")
+        _check_count("n", self.n, 1)
 
     @property
     def weights(self) -> np.ndarray:
@@ -383,10 +384,5 @@ def sample_mixture(spec: MixtureSpec, seed: int) -> np.ndarray:
 
 def resample_with_replacement(x: np.ndarray, seed: int) -> np.ndarray:
     """Bootstrap resample of ``x`` (uniform with replacement), sorted."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_1d(x)
-    if x.size == 0:
-        raise ValidationError("x: cannot resample an empty sample")
-    rng = substream(seed, "resample")
-    idx = rng.integers(0, x.size, size=x.size)
-    return np.sort(x[idx])
+    x = _sample(x, 1)
+    return np.sort(x[substream(seed, "resample").integers(0, x.size, size=x.size)])

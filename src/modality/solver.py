@@ -17,9 +17,9 @@ grid: live searches of one size (the interval's replicates, the seeds of
 ``benchmark --suite table2``) step in lockstep, one ``_kde_rows_at`` row
 each, and a lone live search, as in a single solve, uses ``kde_fft``; each
 gets the answers a solve of its own would. The public functions validate
-and sort the sample once. ``_solve`` is the checked entry below them: it
-checks the size and ``k``, and zero scale raises at the search's first step,
-the rule-of-thumb h0. A search may be seeded with the mode count at h0.
+and sort the sample once, asking for the 3 observations a search needs.
+``_solve``, the checked entry below them, checks ``k``; zero scale raises
+at the first step, the rule-of-thumb h0, whose mode count may seed it.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CIUnreliableError
-from .kde import _block_rows, _check_count, _check_size, _grid_size, _kde_at, _kde_rows_at, _silverman_bandwidth, as_sample
+from .errors import CIUnreliableError, SolverError
+from .kde import _block_rows, _check_count, _grid_size, _kde_at, _kde_rows_at, _silverman_bandwidth, as_sample
 from .modes import _at_most_modes, count_modes
 from .rng import _check_seed, derive_seed, resample_with_replacement
 
@@ -148,11 +148,17 @@ def critical_bandwidth(x, k: int = 2) -> CritBandResult:
 
 
 def _solve(x: np.ndarray, k: int, modes_at_h0: int | None = None) -> CritBandResult:
-    """:func:`critical_bandwidth` of a validated, sorted sample, with its size
-    and ``k`` checked; ``modes_at_h0`` seeds the search, as in :func:`_search`."""
-    _check_size(x, 3)
+    """:func:`critical_bandwidth` of a validated, sorted sample of size >= 3,
+    with ``k`` checked; ``modes_at_h0`` seeds the search, as in :func:`_search`."""
     _check_count("k", k, 1)
     return _solve_each([(x, modes_at_h0)], k)[0]
+
+
+def _verified(result: CritBandResult) -> CritBandResult:
+    """``result``, or :class:`SolverError` if its search did not verify a transition."""
+    if not result.success:
+        raise SolverError(f"critical bandwidth search failed (k={result.k}, iterations={result.iterations})")
+    return result
 
 
 def _solve_each(problems, k: int) -> list[CritBandResult]:
@@ -199,17 +205,17 @@ def critical_bandwidth_ci(x, k: int = 2, resamples: int | None = None,
     """Point estimate plus a percentile bootstrap interval for ``h_crit``.
 
     Each replicate resamples the data with replacement (sub-seeded from
-    ``(seed, replicate index)``) and re-runs the search; the searches run
-    in lockstep blocks, with the answers of one solve per replicate
-    whatever the block size. Replicates whose solve does not verify, or
-    that draw one value only, are excluded and counted in
-    ``ci_failures``; more than half failing raises
-    :class:`CIUnreliableError`. The 95% interval is widened, if needed, to
-    contain the point estimate. The seed is checked before the point solve.
+    ``(seed, replicate index)``) and re-runs the search; the searches run in
+    lockstep blocks, with the answers of one solve per replicate whatever the
+    block size. Replicates whose solve does not verify, or that draw one value
+    only, are excluded and counted in ``ci_failures``; more than half failing
+    raises :class:`CIUnreliableError`. The 95% interval is widened, if needed,
+    to contain the point estimate. A bad seed or an unverified point solve
+    (:class:`SolverError`) is refused before any replicate is drawn.
     """
     x = as_sample(x, min_size=3)
     _check_seed(seed)
-    point = _solve(x, k)
+    point = _verified(_solve(x, k))
     if resamples is None:
         resamples = DEFAULT_CI_RESAMPLES
         if x.size > _LARGE_SAMPLE:

@@ -9,6 +9,7 @@ from modality import (
     NotBimodalError,
     SolverError,
     StrengthReport,
+    ValidationError,
     analyze,
     bimodality_strength,
     critical_bandwidth,
@@ -140,6 +141,12 @@ def test_analyze_evaluates_each_bandwidth_once(well_separated, resamples, kde_ba
     assert isinstance(analysis.decomposition, Decomposition)
     assert isinstance(analysis.strength, StrengthReport)
     assert (analysis.ci is None) == (resamples is None)
+
+
+def test_analyze_refuses_two_observations_before_any_curve(kde_bandwidths):
+    with pytest.raises(ValidationError, match=r"sample: need at least 3 observations, got 2"):
+        analyze([0.0, 1.0])
+    assert kde_bandwidths == []
 
 
 def test_analyze_unverified_search_raises_before_the_interval(kde_bandwidths):

@@ -1,10 +1,14 @@
 """Bad inputs fail with a ``ValidationError`` that says why, and warn nothing.
 
-The checks where data enters (``as_sample``, ``kde_fft``'s own sample and
-span checks, ``_check_bandwidth``, ``MixtureSpec`` and ``_check_seed``),
-and the magnitude check of the rule-of-thumb bandwidth: a sample scaled
-by a power of two keeps every answer exactly, scaled, until its variance
-overflows, and from there every procedure that needs a variance refuses it.
+Each input rule has one check, shared by every entry: the sample rule that
+``as_sample``, ``kde_fft`` and ``resample_with_replacement`` apply
+(``kde_fft`` leaves finiteness to its grid span check), the real scalars of
+bandwidths, ``Grid`` and ``MixtureSpec``, the counts of ``_check_count`` and
+the seeds of ``_check_seed``; ``parse_markdown_table`` refuses what is not
+text. Then the magnitude check of the rule-of-thumb bandwidth: a sample
+scaled by a power of two keeps every answer exactly, scaled, until its
+variance overflows, and from there every procedure that needs a variance
+refuses it.
 """
 
 import re
@@ -28,6 +32,8 @@ from modality import (
     find_modes,
     find_trough,
     kde_fft,
+    parse_markdown_table,
+    resample_with_replacement,
     sample_mixture,
     silverman_bandwidth,
     silverman_test,
@@ -50,16 +56,19 @@ _SAMPLE_CALLS = {
     "kde_fft": lambda x: kde_fft(x, _GRID, 0.5),
 }
 
-# (sample, message from as_sample, message from kde_fft, which checks the grid's span instead)
+# (sample, message); kde_fft refuses the non-finite samples by its grid span check instead
 _BAD_SAMPLES = {
-    "nan": (np.append(_LINE, np.nan), "sample: all observations must be finite", "grid: data range"),
-    "inf": (np.append(_LINE, np.inf), "sample: all observations must be finite", "grid: data range"),
-    "-inf": (np.append(_LINE, -np.inf), "sample: all observations must be finite", "grid: data range"),
-    "2d": (np.ones((2, 20)), r"sample: expected 1-dimensional data, got shape \(2, 20\)",
-           r"sample: expected non-empty 1-dimensional data, got shape \(2, 20\)"),
-    "empty": (np.array([]), r"sample: need at least \d+ observations, got 0",
-              r"sample: expected non-empty 1-dimensional data, got shape \(0,\)"),
+    "nan": (np.append(_LINE, np.nan), "sample: all observations must be finite"),
+    "inf": (np.append(_LINE, np.inf), "sample: all observations must be finite"),
+    "-inf": (np.append(_LINE, -np.inf), "sample: all observations must be finite"),
+    "2d": (np.ones((2, 20)), r"sample: expected 1-dimensional data, got shape \(2, 20\)"),
+    "empty": (np.array([]), r"sample: need at least \d+ observations, got 0"),
+    "non-numeric": ([*_LINE, "x"], re.escape("sample: expected real numbers (could not convert string to float")),
+    "mapping": ({"a": 1}, re.escape("sample: expected real numbers (float() argument must be")),
+    "ragged": ([_LINE, _LINE[:5]], re.escape("sample: expected real numbers (")),
+    "complex": (_LINE + 2j, re.escape("sample: expected real numbers (complex128 values are not real)")),
 }
+_NON_FINITE = ("nan", "inf", "-inf")
 
 _BANDWIDTH_CALLS = {
     "find_modes": lambda h: find_modes(_LINE, h),
@@ -71,29 +80,60 @@ _BANDWIDTH_CALLS = {
 
 _SPEC = MixtureSpec(((1.0, 0.0, 1.0),), 10)
 
+
+def _refusal(call, message, id):
+    return pytest.param(call, re.escape(message), id=id)
+
+
 _CASES = [
-    *(pytest.param(lambda call=call, x=x: call(x), fft if name == "kde_fft" else message,
+    *(pytest.param(lambda call=call, x=x: call(x),
+                   "grid: data range" if name == "kde_fft" and kind in _NON_FINITE else message,
                    id=f"{name}-{kind}")
       for name, call in _SAMPLE_CALLS.items()
-      for kind, (x, message, fft) in _BAD_SAMPLES.items()),
-    *(pytest.param(lambda call=call, h=h: call(h),
-                   re.escape(f"bandwidth: must be a positive finite real, got {h!r}"),
-                   id=f"{name}-h={h}")
+      for kind, (x, message) in _BAD_SAMPLES.items()),
+    *(_refusal(lambda call=call, h=h: call(h), f"bandwidth: must be a positive finite real, got {h!r}",
+               f"{name}-h={h}")
       for name, call in _BANDWIDTH_CALLS.items()
       for h in (0.0, -1.0, float("nan"), float("inf"))),
-    pytest.param(lambda: MixtureSpec(((0.0, 0.0, 1.0), (1.0, 1.0, 1.0)), 10),
-                 re.escape("components[0].weight: must be in (0, 1], got 0.0"), id="weight-0"),
-    pytest.param(lambda: MixtureSpec(((1.5, 0.0, 1.0),), 10),
-                 re.escape("components[0].weight: must be in (0, 1], got 1.5"), id="weight-1.5"),
-    pytest.param(lambda: MixtureSpec(((1.0, 0.0, 0.0),), 10),
-                 re.escape("components[0].std: must be positive, got 0.0"), id="std-0"),
-    pytest.param(lambda: sample_mixture(_SPEC, "0"), "seed: expected an integer, got str", id="seed-str"),
-    pytest.param(lambda: sample_mixture(_SPEC, 1.5), "seed: expected an integer, got float", id="seed-float"),
-    pytest.param(lambda: sample_mixture(_SPEC, True), "seed: expected an integer, got bool", id="seed-bool"),
-    pytest.param(lambda: dip_test(_LINE, resamples=199, seed=True), "seed: expected an integer, got bool",
-                 id="dip_test-seed-bool"),
-    pytest.param(lambda: sample_mixture(_SPEC, -1), re.escape("seed: must be in [0, 2**64), got -1"),
-                 id="seed-negative"),
+    *(_refusal(lambda call=call, h=h: call(h), f"bandwidth: expected a real number, got {h!r}", f"{name}-h={kind}")
+      for name, call in _BANDWIDTH_CALLS.items()
+      for kind, h in (("None", None), ("str", "abc"), ("array", np.array([0.5, 0.6])),
+                      ("complex", np.complex128(0.5 + 1j)))
+      if not (h is None and name == "excess_mass")),  # its None asks for the rule-of-thumb bandwidth
+    _refusal(lambda: Grid(-5.0, 0.05, 5.0), "grid.size: must be an integer >= 2, got 5.0", "grid-size-float"),
+    _refusal(lambda: Grid(-5.0, 0.05, True), "grid.size: must be an integer >= 2, got True", "grid-size-bool"),
+    _refusal(lambda: Grid("a", 0.05, 600), "grid.start: expected a real number, got 'a'", "grid-start-str"),
+    _refusal(lambda: Grid(-5.0, None, 600), "grid.spacing: expected a real number, got None", "grid-spacing-None"),
+    _refusal(lambda: Grid(np.nan, 0.05, 600), "grid.start: must be a finite real, got nan", "grid-start-nan"),
+    _refusal(lambda: Grid(-5.0, 0.0, 600), "grid.spacing: must be a positive finite real, got 0.0", "grid-spacing-0"),
+    _refusal(lambda: MixtureSpec(((0.0, 0.0, 1.0), (1.0, 1.0, 1.0)), 10),
+             "components[0].weight: must be in (0, 1], got 0.0", "weight-0"),
+    _refusal(lambda: MixtureSpec(((1.5, 0.0, 1.0),), 10), "components[0].weight: must be in (0, 1], got 1.5",
+             "weight-1.5"),
+    _refusal(lambda: MixtureSpec(((1.0, 0.0, 0.0),), 10), "components[0].std: must be positive, got 0.0", "std-0"),
+    _refusal(lambda: MixtureSpec(((1.0, 0.0, 1.0),), True), "n: must be an integer >= 1, got True", "n-bool"),
+    _refusal(lambda: MixtureSpec([(1, 0, None)], 5), "components[0].std: expected a real number, got None",
+             "std-None"),
+    _refusal(lambda: MixtureSpec([("a", 0, 1)], 5), "components[0].weight: expected a real number, got 'a'",
+             "weight-str"),
+    _refusal(lambda: MixtureSpec([(1, 0)], 5), "components: expected (weight, mean, std) triples, got [(1, 0)]",
+             "component-pair"),
+    _refusal(lambda: MixtureSpec([1.0], 5), "components: expected (weight, mean, std) triples, got [1.0]",
+             "component-non-iterable"),
+    _refusal(lambda: MixtureSpec(1.0, 5), "components: expected (weight, mean, std) triples, got 1.0",
+             "components-non-iterable"),
+    _refusal(lambda: resample_with_replacement([], 0), "sample: need at least 1 observations, got 0",
+             "resample-empty"),
+    _refusal(lambda: resample_with_replacement([1.0, np.nan], 0), "sample: all observations must be finite",
+             "resample-nan"),
+    _refusal(lambda: parse_markdown_table(None), "markdown: expected text, got NoneType", "markdown-None"),
+    _refusal(lambda: parse_markdown_table(b"|x|\n|-|\n|1|"), "markdown: expected text, got bytes", "markdown-bytes"),
+    _refusal(lambda: sample_mixture(_SPEC, "0"), "seed: expected an integer, got str", "seed-str"),
+    _refusal(lambda: sample_mixture(_SPEC, 1.5), "seed: expected an integer, got float", "seed-float"),
+    _refusal(lambda: sample_mixture(_SPEC, True), "seed: expected an integer, got bool", "seed-bool"),
+    _refusal(lambda: dip_test(_LINE, resamples=199, seed=True), "seed: expected an integer, got bool",
+             "dip_test-seed-bool"),
+    _refusal(lambda: sample_mixture(_SPEC, -1), "seed: must be in [0, 2**64), got -1", "seed-negative"),
 ]
 
 

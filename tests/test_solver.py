@@ -8,6 +8,7 @@ from modality import (
     CritBandResult,
     DegenerateSampleError,
     MixtureSpec,
+    SolverError,
     ValidationError,
     bimodality_strength,
     count_modes,
@@ -155,11 +156,21 @@ def test_ci_tiny_sample_keeps_invariants():
     assert r.ci_failures >= 0
 
 
-def test_ci_unreliable_when_most_replicates_fail(well_separated):
-    # k = 1 has no attainable target, so no replicate's search verifies
-    with pytest.raises(CIUnreliableError, match="99 of 99 replicates failed") as caught:
+def test_ci_unreliable_when_most_replicates_fail():
+    # the point solve verifies, but a resample shows four modes only if it
+    # draws all four values (24 ways in 256), so most replicates fail
+    with pytest.raises(CIUnreliableError, match="89 of 99 replicates failed") as caught:
+        critical_bandwidth_ci([0.0, 1.0, 2.0, 3.0], k=4, resamples=99)
+    assert caught.value.failures == 89
+
+
+def test_ci_refuses_an_unverified_point_solve_before_any_replicate(well_separated, monkeypatch):
+    # k = 1 has no attainable target, so the point solve never verifies
+    iterations = critical_bandwidth(well_separated, k=1).iterations
+    monkeypatch.setattr(solver, "resample_with_replacement", lambda *args: pytest.fail("drew a replicate"))
+    with pytest.raises(SolverError) as failure:
         critical_bandwidth_ci(well_separated, k=1, resamples=99)
-    assert caught.value.failures == 99
+    assert str(failure.value) == f"critical bandwidth search failed (k=1, iterations={iterations})"
 
 
 def test_ci_counts_constant_replicates_as_failures():
