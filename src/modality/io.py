@@ -24,8 +24,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import contains
@@ -57,7 +59,13 @@ class Table:
     columns: dict[str, list[str | int | float]]
 
     def __post_init__(self):
-        names = tuple(str(n).strip() for n in self.column_names)
+        if not isinstance(self.columns, Mapping):
+            raise DataFormatError(f"table.columns: expected a mapping, got {type(self.columns).__name__}")
+        try:
+            names = tuple(str(n).strip() for n in self.column_names)
+        except TypeError:
+            raise DataFormatError(
+                f"table.column_names: expected an iterable, got {type(self.column_names).__name__}") from None
         if len(set(names)) != len(names):
             raise DataFormatError("table: duplicate column names after trimming")
         cells = {str(n).strip(): v for n, v in self.columns.items()}
@@ -248,8 +256,11 @@ def read_table(path) -> Table:
     """Parse ``path`` into a :class:`Table`, detecting the format by extension.
 
     A missing file, or one that cannot be read, decoded or parsed, raises
-    :class:`DataFormatError` naming the path.
+    :class:`DataFormatError` naming the path; a ``path`` that is neither a
+    ``str`` nor an ``os.PathLike`` raises :class:`ValidationError`.
     """
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValidationError(f"path: expected a str or os.PathLike, got {type(path).__name__}")
     path = Path(path)
     ext = path.suffix.lower()
     if ext not in _READERS:
@@ -282,9 +293,8 @@ def read_data(path, column: str | None = None, return_all: bool = False):
 
 def _read_numbers(path, column: str | None = None, return_all: bool = False):
     """:func:`read_data` short of ``as_sample``: the chosen columns' finite numbers, unsorted."""
-    path = Path(path)
     table = read_table(path)
-    origin = path.name
+    origin = Path(path).name
     if return_all:
         parsed = [(n, *_parse_column(table.columns[n])) for n in table.column_names]
         numeric = [c for c in parsed if _is_numeric(*c[1:])]

@@ -8,7 +8,7 @@ evaluation costs two transforms, one of the bin counts and one back.
 The Monte Carlo tests evaluate a block of replicates at once with the
 same arithmetic (``_kde_rows_at``), each row at its own bandwidth and bit
 for bit its ``kde_fft``, and so do the solver's lockstep steps (interval
-replicates, table2 seeds); a step with one live search calls ``kde_fft``.
+replicates, table2 seeds); a lone search's step runs the unchecked core ``_density``.
 ``kde_direct`` is the exact O(n*g) direct sum, kept as the oracle the
 engine is tested against.
 
@@ -166,6 +166,13 @@ def _check_real(name: str, value, positive: bool = False) -> float:
     return value
 
 
+def _check_type(name: str, value, kind: type):
+    """``value``, the argument ``name``, which must be an instance of ``kind``."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name}: expected a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class Grid:
     """``size`` evaluation points ``start + i * spacing``, uniform by construction."""
@@ -238,13 +245,8 @@ def _silverman_bandwidth(x: np.ndarray) -> float:
 
 def default_grid(x, h) -> Grid:
     """Adaptive grid spanning the data plus a cut of 3 bandwidths per side."""
-    return _default_grid(as_sample(x), h)
-
-
-def _default_grid(x: np.ndarray, h) -> Grid:
-    """:func:`default_grid` of a sample that is already validated and sorted."""
-    h = _check_real("bandwidth", h, positive=True)
-    return Grid(*_grid_span(x[0], x[-1], x.size, h))
+    x = as_sample(x)
+    return Grid(*_grid_span(x[0], x[-1], x.size, _check_real("bandwidth", h, positive=True)))
 
 
 def _grid_size(n: int) -> int:
@@ -265,7 +267,7 @@ def kde_direct(x, grid: Grid, h) -> DensityCurve:
     """Exact Gaussian KDE: mean of kernels centered at each observation."""
     x = as_sample(x)
     h = _check_real("bandwidth", h, positive=True)
-    pts = grid.points
+    pts = _check_type("grid", grid, Grid).points
     density = np.empty(pts.size)
     # chunk over grid points to bound the (chunk x n) scratch matrix
     chunk = max(1, int(4_000_000 / max(x.size, 1)))
@@ -364,20 +366,27 @@ def kde_fft(x, grid: Grid, h) -> DensityCurve:
     """
     x = _sample(x, 1, finite=False)
     h = _check_real("bandwidth", h, positive=True)
+    _check_type("grid", grid, Grid)
     lo, hi = x.min(), x.max()
     if not (grid.start <= lo and hi <= grid.stop):
         raise GridSpanError(
             f"grid: data range [{lo:g}, {hi:g}] exceeds grid span "
             f"[{grid.start:g}, {grid.stop:g}]"
         )
-    r, half_width, m = _kernel_plan(h, grid.spacing, grid.size)
-    counts = _linear_bin(x, grid.start, grid.spacing, grid.size)
+    return DensityCurve(grid=grid, density=_density(x, grid.start, grid.spacing, grid.size, h), h=h)
+
+
+def _density(x: np.ndarray, start, spacing, size: int, h: float) -> np.ndarray:
+    """:func:`kde_fft`'s density of ``x`` on the grid of ``size`` points ``start + i * spacing``,
+    unchecked: the caller has checked the sample, the bandwidth, the grid and its span."""
+    r, half_width, m = _kernel_plan(h, spacing, size)
+    counts = _linear_bin(x, start, spacing, size)
     narrow = min(h, r) < _NARROW
     with np.errstate(over="ignore", invalid="ignore") if narrow else contextlib.nullcontext():
-        density = _convolve(counts, _kernel_transform(r, half_width, m), m, x.size, grid.spacing)
+        density = _convolve(counts, _kernel_transform(r, half_width, m), m, x.size, spacing)
     if narrow and not np.isfinite(density).all():
         raise ValidationError(f"bandwidth: {h!r} is {r:.3g} grid steps wide, too narrow for a finite density")
-    return DensityCurve(grid=grid, density=density, h=h)
+    return density
 
 
 def _convolve(counts: np.ndarray, kernel: np.ndarray, m: int, n: int, spacing) -> np.ndarray:
@@ -395,8 +404,16 @@ def _convolve(counts: np.ndarray, kernel: np.ndarray, m: int, n: int, spacing) -
 
 
 def _kde_at(x: np.ndarray, h) -> DensityCurve:
-    """``kde_fft`` of a validated, sorted sample at ``h`` on its default grid."""
-    return kde_fft(x, _default_grid(x, h), h)
+    """``kde_fft`` of a validated, sorted sample at ``h`` on its default grid,
+    with ``h`` checked: the one ``Grid`` of a public call that returns a curve."""
+    h = _check_real("bandwidth", h, positive=True)
+    grid = Grid(*_grid_span(x[0], x[-1], x.size, h))
+    return DensityCurve(grid=grid, density=_density(x, grid.start, grid.spacing, grid.size, h), h=h)
+
+
+def _density_at(x: np.ndarray, h: float) -> np.ndarray:
+    """:func:`_kde_at`'s density, unchecked and with no ``Grid`` built."""
+    return _density(x, *_grid_span(x[0], x[-1], x.size, h), h)
 
 
 # Replicate loops work on blocks of rows holding about this many values:

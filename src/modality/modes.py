@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotBimodalError
-from .kde import DensityCurve, _kde_at, as_sample
+from .kde import DensityCurve, _check_type, _kde_at, as_sample
 
 __all__ = [
     "ModeSet",
@@ -183,7 +183,7 @@ def _at_most_modes(density: np.ndarray, m: int) -> np.ndarray:
 
 def count_modes(curve: DensityCurve) -> int:
     """Number of modes of the evaluated density."""
-    starts, _, _ = _mode_runs(curve.density)
+    starts, _, _ = _mode_runs(_check_type("curve", curve, DensityCurve).density)
     return int(starts.size)
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .kde import _block_rows, _check_count, _check_real, _sample
+from .kde import _block_rows, _check_count, _check_real, _check_type, _sample
 
 __all__ = [
     "MixtureSpec",
@@ -374,8 +374,7 @@ def sample_mixture(spec: MixtureSpec, seed: int) -> np.ndarray:
     component's uniforms into normals. The output is a pure function of
     ``(spec, seed)``.
     """
-    if not isinstance(spec, MixtureSpec):
-        spec = MixtureSpec(tuple(spec.components), spec.n)  # re-validate duck-typed input
+    _check_type("spec", spec, MixtureSpec)
     counts = component_counts(spec.weights, spec.n)
     z = _ndtri(np.concatenate([random_open01(substream(seed, "mixture", i), int(c))
                                for i, c in enumerate(counts)]))

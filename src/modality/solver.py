@@ -15,11 +15,12 @@ each bandwidth once, and ``iterations`` counts distinct bandwidths. One
 driver, ``_solve_each``, answers every search on the sample's default
 grid: live searches of one size (the interval's replicates, the seeds of
 ``benchmark --suite table2``) step in lockstep, one ``_kde_rows_at`` row
-each, and a lone live search, as in a single solve, uses ``kde_fft``; each
-gets the answers a solve of its own would. The public functions validate
-and sort the sample once, asking for the 3 observations a search needs.
-``_solve``, the checked entry below them, checks ``k``; zero scale raises
-at the first step, the rule-of-thumb h0, whose mode count may seed it.
+each, and a lone live search, as in a single solve, uses ``kde._density``,
+``kde_fft``'s unchecked core, with no ``Grid`` built; each gets the answers
+a solve of its own would. The public functions validate and sort the
+sample once, asking for the 3 observations a search needs. ``_solve``,
+the checked entry below them, checks ``k``; zero scale raises at the
+first step, the rule-of-thumb h0, whose mode count may seed it.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CIUnreliableError, SolverError
-from .kde import _block_rows, _check_count, _grid_size, _kde_at, _kde_rows_at, _silverman_bandwidth, as_sample
-from .modes import _at_most_modes, count_modes
+from .kde import _block_rows, _check_count, _density_at, _grid_size, _kde_rows_at, _silverman_bandwidth, as_sample
+from .modes import _at_most_modes, _mode_runs
 from .rng import _check_seed, derive_seed, resample_with_replacement
 
 __all__ = [
@@ -166,8 +167,8 @@ def _solve_each(problems, k: int) -> list[CritBandResult]:
     unchecked: ``k`` is valid and the samples are solvable and of one size.
     A block's worth of searches runs in lockstep, refilled from ``problems``:
     each step evaluates every live search at its pending bandwidth in one
-    ``_kde_rows_at`` block, or by ``kde_fft`` if one is live, and sends each
-    its answer, the one a solve of its own gets.
+    ``_kde_rows_at`` block, or by ``kde._density`` with no ``Grid`` if one is
+    live, and sends each its answer, the one a solve of its own gets.
     """
     results: list[CritBandResult | None] = []
     live = []  # [result index, sample, search, pending bandwidth]
@@ -182,7 +183,7 @@ def _solve_each(problems, k: int) -> list[CritBandResult]:
 
     def step() -> None:
         if len(live) == 1:
-            answers = [count_modes(_kde_at(live[0][1], live[0][3])) <= k - 1]
+            answers = [_mode_runs(_density_at(live[0][1], live[0][3]))[0].size <= k - 1]
         else:
             density = _kde_rows_at(np.array([slot[1] for slot in live]), [slot[3] for slot in live])
             answers = _at_most_modes(density, k - 1).tolist()

@@ -48,22 +48,24 @@ def kde_bandwidths(monkeypatch):
     """The bandwidth of every KDE evaluation made while the test runs, one
     entry per row of a block evaluated at once, at that row's bandwidth.
 
-    Modules import the block evaluation by name, so the recorder is bound
-    in every ``modality.*`` namespace that holds it.
+    A lone evaluation, checked (``kde_fft``) or not, runs the unchecked core
+    ``kde._density``, which is looked up in ``modality.kde``. Modules import
+    the block evaluation by name, so its recorder is bound in every
+    ``modality.*`` namespace that holds it.
     """
     seen = []
-    engine = kde_mod.kde_fft
+    engine = kde_mod._density
     block_engine = kde_mod._kde_rows_at
 
-    def recording(x, grid, h):
+    def recording(x, start, spacing, size, h):
         seen.append(h)
-        return engine(x, grid, h)
+        return engine(x, start, spacing, size, h)
 
     def recording_rows(rows, h):
         seen.extend(np.broadcast_to(h, rows.shape[:1]).tolist())
         return block_engine(rows, h)
 
-    monkeypatch.setattr(kde_mod, "kde_fft", recording)
+    monkeypatch.setattr(kde_mod, "_density", recording)
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "modality" and getattr(module, "_kde_rows_at", None) is block_engine:
             monkeypatch.setattr(module, "_kde_rows_at", recording_rows)

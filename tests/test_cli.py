@@ -205,6 +205,15 @@ def test_subnormal_spread_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("data error: sample: scale 0.0 is too small")
 
 
+@pytest.mark.parametrize("h", ["0", "-1", "nan", "inf"])
+def test_modes_bad_bandwidth_exits_2(h, capsys):
+    path = Path(__file__).resolve().parent / "data" / "well_separated_n400.csv"
+    assert main(["modes", str(path), "--bandwidth", h]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"data error: bandwidth: must be a positive finite real, got {float(h)!r}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze"], ["analyze", "--ci", "--resamples", "99"], ["test", "--method", "silverman"], ["decompose"],
 ], ids=["analyze", "analyze_ci", "test_silverman", "decompose"])

@@ -19,7 +19,6 @@ from modality.kde import (
     GRID_MAX_POINTS,
     GRID_MIN_POINTS,
     _FAST_LENGTHS,
-    _default_grid,
     _kde_rows_at,
     _linear_bin,
     _next_fast_len,
@@ -334,7 +333,7 @@ def test_block_densities_equal_kde_fft(sample, h, request):
     # uses, the widest on the narrowest row
     per_row = h * np.geomspace(20.0, 0.05, len(block))
     for bandwidths, hs in ((h, [h] * len(block)), (per_row, per_row)):
-        grids = [_default_grid(row, h_row) for row, h_row in zip(block, hs)]
+        grids = [default_grid(row, h_row) for row, h_row in zip(block, hs)]
         steps = [h_row / grid.spacing for grid, h_row in zip(grids, hs)]
         assert min(steps) < 3.0 <= max(steps)
         assert len({_next_fast_len(grid.size + int(np.ceil(6.0 * r))) for grid, r in zip(grids, steps)}) > 1

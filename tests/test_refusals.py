@@ -3,9 +3,10 @@
 Each input rule has one check, shared by every entry: the sample rule that
 ``as_sample``, ``kde_fft`` and ``resample_with_replacement`` apply
 (``kde_fft`` leaves finiteness to its grid span check), the real scalars of
-bandwidths, ``Grid`` and ``MixtureSpec``, the counts of ``_check_count`` and
-the seeds of ``_check_seed``; ``parse_markdown_table`` refuses what is not
-text. Then the magnitude check of the rule-of-thumb bandwidth: a sample
+bandwidths, ``Grid`` and ``MixtureSpec``, the counts of ``_check_count``,
+the seeds of ``_check_seed`` and the types of ``_check_type`` (a grid, a
+curve, a mixture spec); ``parse_markdown_table`` refuses what is not text,
+``read_table`` what is not a path and ``Table`` fields of the wrong kind. Then the magnitude check of the rule-of-thumb bandwidth: a sample
 scaled by a power of two keeps every answer exactly, scaled, until its
 variance overflows, and from there every procedure that needs a variance
 refuses it.
@@ -14,6 +15,7 @@ refuses it.
 import re
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +23,9 @@ import pytest
 from modality import (
     Grid,
     MixtureSpec,
+    Table,
     ValidationError,
+    count_modes,
     critical_bandwidth,
     critical_bandwidth_ci,
     default_grid,
@@ -31,14 +35,17 @@ from modality import (
     excess_mass,
     find_modes,
     find_trough,
+    kde_direct,
     kde_fft,
     parse_markdown_table,
+    read_data,
     resample_with_replacement,
     sample_mixture,
     silverman_bandwidth,
     silverman_test,
 )
 from modality import cli, decompose, solver, stattests
+from modality.io import read_table
 from tests.conftest import WELL_SEPARATED
 
 _LINE = np.arange(20.0)
@@ -134,6 +141,18 @@ _CASES = [
     _refusal(lambda: dip_test(_LINE, resamples=199, seed=True), "seed: expected an integer, got bool",
              "dip_test-seed-bool"),
     _refusal(lambda: sample_mixture(_SPEC, -1), "seed: must be in [0, 2**64), got -1", "seed-negative"),
+    _refusal(lambda: kde_fft(_LINE, None, 0.5), "grid: expected a Grid, got NoneType", "kde_fft-grid-None"),
+    _refusal(lambda: kde_direct(_LINE, "g", 0.5), "grid: expected a Grid, got str", "kde_direct-grid-str"),
+    _refusal(lambda: count_modes(None), "curve: expected a DensityCurve, got NoneType", "count_modes-None"),
+    _refusal(lambda: sample_mixture(None, 0), "spec: expected a MixtureSpec, got NoneType", "spec-None"),
+    _refusal(lambda: sample_mixture(SimpleNamespace(components=_SPEC.components, n=10), 0),
+             "spec: expected a MixtureSpec, got SimpleNamespace", "spec-duck-typed"),
+    _refusal(lambda: read_data(None), "path: expected a str or os.PathLike, got NoneType", "read_data-None"),
+    _refusal(lambda: read_data(5), "path: expected a str or os.PathLike, got int", "read_data-int"),
+    _refusal(lambda: read_table(None), "path: expected a str or os.PathLike, got NoneType", "read_table-None"),
+    _refusal(lambda: Table(None, {}), "table.column_names: expected an iterable, got NoneType",
+             "table-names-None"),
+    _refusal(lambda: Table(("a",), None), "table.columns: expected a mapping, got NoneType", "table-columns-None"),
 ]
 
 

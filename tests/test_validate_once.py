@@ -5,12 +5,21 @@ so a solve of 17 KDE evaluations, a bootstrap of 99 replicates and every
 CLI command all sort the data once. A command's file reader returns the
 numbers unsorted; ``analyze``, ``test`` and ``decompose`` pass them to
 the public procedure, and ``modes`` validates them at its start.
+
+No internal evaluation re-checks what its public call checked: it runs
+the unchecked core ``kde._density``, never the checked ``kde_fft``, and a
+solve's evaluations build no ``Grid``. A call that returns a curve, or
+modes or a trough read from one, builds that curve's one ``Grid``.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
+import modality.kde as kde_mod
 from modality import (
+    Grid,
     analyze,
     bimodality_strength,
     critical_bandwidth,
@@ -23,6 +32,11 @@ from modality import (
     silverman_test,
 )
 from modality.cli import main
+
+
+# the calls whose every evaluation is a solve's or a replicate's
+_GRIDLESS = {"critical_bandwidth", "bimodality_strength", "silverman_test", "critical_bandwidth_ci",
+             "dip_test", "test_silverman", "test_dip"}
 
 
 def _cli(*argv):
@@ -53,11 +67,45 @@ CALLS = {
 }
 
 
+@pytest.fixture
+def grids_built(monkeypatch):
+    """Every ``Grid`` constructed while the test runs."""
+    built = []
+    check = Grid.__post_init__
+
+    def counting(grid):
+        built.append(grid)
+        check(grid)
+
+    monkeypatch.setattr(Grid, "__post_init__", counting)
+    return built
+
+
+@pytest.fixture
+def kde_fft_calls(monkeypatch):
+    """The bandwidth of every ``kde_fft`` call made while the test runs, in
+    every ``modality.*`` namespace that holds ``kde_fft``."""
+    calls = []
+    engine = kde_mod.kde_fft
+
+    def counting(x, grid, h):
+        calls.append(h)
+        return engine(x, grid, h)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "modality" and getattr(module, "kde_fft", None) is engine:
+            monkeypatch.setattr(module, "kde_fft", counting)
+    return calls
+
+
 @pytest.mark.parametrize("name", list(CALLS))
-def test_public_call_validates_once(name, well_separated, tmp_path, capsys, as_sample_calls):
+def test_public_call_validates_once(name, well_separated, tmp_path, capsys, as_sample_calls, grids_built,
+                                    kde_fft_calls):
     x = np.random.default_rng(0).permutation(well_separated)
     path = tmp_path / "sample.csv"
     path.write_text("value\n" + "\n".join(repr(float(v)) for v in x) + "\n")
     CALLS[name](x, path)
     capsys.readouterr()
     assert len(as_sample_calls) == 1
+    assert len(grids_built) == (0 if name in _GRIDLESS else 1)
+    assert kde_fft_calls == []
