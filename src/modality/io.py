@@ -8,8 +8,11 @@ CSV, TSV and Markdown cells are strings; JSON cells keep the decoded
 numbers (``int`` and ``float``) and strings as they are, ``null`` is the
 empty cell, and any other value (``true``, ``false``, an array or an
 object) is its ``str()``. Parsing is pure per file content; format
-detection is by extension only. A file that cannot be opened, decoded or
-split into fields raises :class:`DataFormatError`.
+detection is by extension only. Every format is read as UTF-8, and a
+leading byte order mark is ignored. A file that cannot be opened, decoded
+or split into fields raises :class:`DataFormatError`. A read's traced
+peak is about twice the :class:`Table` it builds (measured on 100 000-row
+Markdown and CSV tables).
 
 Each column that is read is turned into numbers in one pass, and both
 the decision that it is numeric and its sample are taken from that
@@ -27,6 +30,7 @@ import math
 import os
 import re
 import warnings
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -88,14 +92,14 @@ def _parse_column(cells: list) -> tuple[np.ndarray, int]:
     """The finite numbers among ``cells`` and the count of non-empty cells that are not."""
     # strings are stripped and empty ones skipped; numbers are never empty
     cells = [s for c in cells if (s := c.strip() if c.__class__ is str else c) != ""]
-    numbers, converted = [], map(float, cells)
+    numbers, converted = array("d"), map(float, cells)  # doubles, not one float object per cell
     while True:  # one pass: a cell that raises is dropped, and the pass goes on after it
         try:
             numbers.extend(converted)
             break
         except (ValueError, OverflowError):
             pass
-    numbers = np.array(numbers, dtype=np.float64)
+    numbers = np.frombuffer(numbers, dtype=np.float64)
     numbers = numbers[np.isfinite(numbers)]
     return numbers, len(cells) - numbers.size
 
@@ -116,17 +120,16 @@ def _gather_table(names: list[str], cells: np.ndarray, starts: np.ndarray,
                   sizes: np.ndarray) -> Table:
     """The named columns of rows whose cells are ``cells[starts[i]:starts[i] + sizes[i]]``.
 
-    A short row's missing cells are empty, and a long row's extra cells
-    are ignored.
+    The last of ``cells`` is empty and in no row: a short row's missing
+    cells are read from it, and a long row's extra cells are ignored.
     """
-    padded = np.append(cells, "")  # index -1: the cell a short row lacks
-    columns = {n: padded[np.where(i < sizes, starts + i, -1)].tolist() for i, n in enumerate(names)}
+    columns = {n: cells[np.where(i < sizes, starts + i, -1)].tolist() for i, n in enumerate(names)}
     return Table(column_names=tuple(names), columns=columns)
 
 
 def _read_delimited(path: Path, delimiter: str) -> Table:
     """A CSV or TSV table; a first row of numbers and empty cells is data, not a header."""
-    with open(path, newline="", encoding="utf-8") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         if delimiter == ",":
             reader = csv.reader(f)
         else:
@@ -140,7 +143,7 @@ def _read_delimited(path: Path, delimiter: str) -> Table:
     else:
         names, rows = head, rows[1:]
     sizes = np.fromiter(map(len, rows), np.intp, len(rows))
-    cells = np.fromiter(chain.from_iterable(rows), object)
+    cells = np.fromiter(chain(chain.from_iterable(rows), [""]), object)  # "": fills short rows
     return _gather_table(names, cells, np.cumsum(sizes) - sizes, sizes)
 
 
@@ -148,13 +151,14 @@ _JSON_KEPT = {int, float, str}
 
 
 def _read_json(path: Path) -> Table:
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
         raise DataFormatError(f"{path.name}: invalid JSON: {e}", line=e.lineno) from e
     except (ValueError, RecursionError) as e:  # an integer past Python's digit limit, or nesting too deep
         raise DataFormatError(f"{path.name}: invalid JSON: {e}") from e
+    del text  # the decoded payload is all that is used from here on
 
     def to_cells(seq) -> list:
         # numbers and strings are kept, null is the empty cell, and anything
@@ -184,6 +188,7 @@ _DELIMITER_CELL = re.compile(r"^:?-+:?$")
 # While a table is split, _ESCAPED_PIPE stands in for "\|" and _CUT marks a cell boundary;
 # splitlines() leaves neither character in a line, so neither can be taken for text.
 _ESCAPED_PIPE, _CUT = "\r", "\x1e"
+_strip = np.frompyfunc(str.strip, 1, 1)
 
 
 def _split_pipe_rows(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,7 +196,8 @@ def _split_pipe_rows(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     ``text`` holds the rows, stripped and joined by newlines. A pipe at
     either end of a row bounds no cell (a row that is one pipe has no
-    cells), and ``\\|`` is a pipe inside a cell.
+    cells), and ``\\|`` is a pipe inside a cell. The array's last cell is
+    empty and in no row.
     """
     text = text.replace("\\|", _ESCAPED_PIPE).replace("|", _CUT).replace(_ESCAPED_PIPE, "|")
     # every row gets one outer cut at each end: add one, and drop it again where the row had its own
@@ -199,10 +205,11 @@ def _split_pipe_rows(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     text = text.replace("\n", f"{_CUT}\n").replace(f"{_CUT}{_CUT}\n", f"{_CUT}\n")
     # the space that usually pads a cell goes in bulk, so that most cells need no strip of their own
     text = text.replace(f" {_CUT}", _CUT).replace(f"{_CUT} ", _CUT)
-    tokens = text[2:-2].split(_CUT)  # "", the cells of row 0, "\n", the cells of row 1, ..., ""
-    del text  # let the joined rows go before the stripped cells are made
-    breaks = np.flatnonzero(np.array(tokens, dtype=object) == "\n")
-    cells = np.fromiter(map(str.strip, tokens), object, len(tokens))
+    cells = text[2:-2].split(_CUT)  # "", the cells of row 0, "\n", the cells of row 1, ..., ""
+    del text  # let the split text go before the cell array is made
+    cells = np.fromiter(cells, object, len(cells))
+    breaks = np.flatnonzero(cells == "\n")
+    _strip(cells, out=cells)  # in place, so that no second array of cells is made
     starts = np.append(0, breaks) + 1
     return cells, starts, np.append(breaks, cells.size - 1) - starts
 
@@ -226,8 +233,9 @@ def parse_markdown_table(text: str) -> Table:
         raise DataFormatError("markdown: missing delimiter row", line=header_at + 2)
     end = piped.index(False, header_at + 2)
     rows = "\n".join(map(str.strip, lines[header_at:end]))
-    del lines, piped  # the table's rows are all that is used from here on
+    del text, lines, piped  # the table's rows are all that is used from here on
     cells, starts, sizes = _split_pipe_rows(rows)
+    del rows  # and the cells are all that is used from here on
     names, delimiter = (cells[s : s + n].tolist() for s, n in zip(starts[:2], sizes[:2]))
     if not delimiter or not all(map(_DELIMITER_CELL.match, delimiter)):
         raise DataFormatError("markdown: malformed delimiter row", line=header_at + 2)
@@ -240,7 +248,7 @@ def parse_markdown_table(text: str) -> Table:
 
 
 def _read_markdown(path: Path) -> Table:
-    return parse_markdown_table(path.read_text(encoding="utf-8"))
+    return parse_markdown_table(path.read_text(encoding="utf-8-sig"))
 
 
 _READERS = {

@@ -1,6 +1,10 @@
+import codecs
+import gc
 import json
 import math
 import re
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -176,6 +180,22 @@ def test_same_bytes_same_sample(tmp_path):
     a = read_data(_write(tmp_path, "a.csv", payload))
     b = read_data(_write(tmp_path, "b.csv", payload))
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("header.csv", "value,label\n1.5,a\n2.5,b\n4,c\n"),
+    ("headerless.csv", "1.5\n2.5\n4\n"),  # a marked first cell must not make row 0 a header
+    ("data.tsv", "value\tlabel\n1.5\ta\n2.5\tb\n4\tc\n"),
+    ("data.json", '{"value": [1.5, 2.5, 4], "label": ["a", "b", "c"]}'),
+    ("data.md", "| value | label |\n|---|---|\n| 1.5 | a |\n| 2.5 | b |\n| 4 | c |\n"),
+], ids=["csv", "csv-headerless", "tsv", "json", "md"])
+def test_byte_order_mark_is_ignored(tmp_path, name, text):
+    plain = tmp_path / name
+    plain.write_bytes(text.encode("utf-8"))
+    marked = tmp_path / f"bom_{name}"
+    marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+    assert read_table(marked) == read_table(plain)
+    assert read_data(marked).tobytes() == read_data(plain).tobytes()
 
 
 def test_parse_markdown_minimal():
@@ -495,3 +515,43 @@ def test_json_cells_keep_numbers(tmp_path):
     assert out.tobytes() == np.array([-0.0, 1.0, 2.5, 3.0, 4.0]).tobytes()
     flat = read_table(_write(tmp_path, "flat.json", "[0, 0.0, false, null]"))
     assert flat.columns == {"values": [0, 0.0, "False", ""]}
+
+
+# --- memory: a read costs about the Table it returns ---------------------------
+
+def _traced(call):
+    """``call()``, the memory traced afterwards and the peak traced while it ran, both above the start."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, size - start, peak - start
+
+
+def test_markdown_read_peaks_near_the_table_it_returns(tmp_path):
+    values = np.random.default_rng(0).normal(size=20_000).tolist()
+    path = _write(tmp_path, "big.md", "| value |\n|---:|\n" + "".join(f"| {v!r} |\n" for v in values))
+    table, size, peak = _traced(lambda: read_table(path))
+    assert table.columns["value"] == [repr(v) for v in values]
+    # measured: 2.0 times the Table on Python 3.11, 2.3 if the caller keeps the file text alive
+    # through the parse (as a Python 3.10 frame does), and 2.8 with whole-table copies held
+    assert peak < 2.5 * size
+
+
+def test_parse_column_makes_no_float_object_per_cell():
+    cells = [repr(v) for v in np.random.default_rng(1).normal(size=20_000).tolist()]
+    cells[7] = "x"  # a dropped cell, so that the pass resumes
+    expected = np.array([float(c) for c in cells if c != "x"])
+    (numbers, dropped), _, peak = _traced(lambda: io_mod._parse_column(cells))
+    assert (numbers.tobytes(), dropped) == (expected.tobytes(), 1)
+    # measured: 0.52 MB for a list of the cells, the doubles and their finite copy, and 0.99 MB
+    # when the doubles are first a list of floats
+    assert peak < len(cells) * (sys.getsizeof(0.0) + 8)  # one float object and one pointer per cell
