@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotBimodalError, SolverError
-from .kde import _kde_at, _silverman_bandwidth, as_sample
+from .kde import _check_count, _kde_at, _silverman_bandwidth, as_sample
 from .modes import _modes_of_curve, _modes_payload, _trough_of_curve
 from .rng import _check_seed
 from .solver import CritBandResult, _bootstrap, _solve, _verified
@@ -156,8 +156,10 @@ def analyze(x, k: int = 2, resamples: int | None = None, seed: int = 0) -> Analy
     A search for ``k`` that does not verify raises :class:`SolverError`.
     """
     x = as_sample(x, min_size=3)
-    if resamples is not None:
-        _check_seed(seed)  # before the point solve, not at the interval's first replicate
+    _check_count("k", k, 1)
+    if resamples is not None:  # checked before the curve, not at the interval's first replicate
+        _check_seed(seed)
+        _check_count("resamples", resamples, 99)
     h0 = _silverman_bandwidth(x)
     # the one curve at h0 gives the modes, the decomposition and the first
     # mode count of the solves below, which start at h0

@@ -22,10 +22,11 @@ seed reproduces bit-identical results across platforms and runs:
 Independent consumers (mixture sampling, bootstrap replicate *i*, ...)
 derive their own stream from ``(seed, purpose tag, index)``, which keeps
 replicate streams independent of evaluation order. :func:`substream` is
-the reference for that derivation. The Monte Carlo tests draw their rows
-through ``_replicate_blocks``, which keys them in bulk (``_substreams``
-hashes every index at once, with the state ``substream`` gives it); the
-bootstrap interval still keys each replicate alone, with :func:`derive_seed`.
+the reference for that derivation. ``_substreams`` keys every Monte Carlo
+replicate in bulk with the state ``substream`` gives it: the tests' rows
+through ``_replicate_blocks``, and the interval's replicate i as
+``substream(derive_seed(seed, "ci", i), "resample")``; :func:`derive_seed`
+is word 0 of the bulk hash ``_seed_words`` on the same entropy.
 """
 
 from __future__ import annotations
@@ -86,15 +87,6 @@ def substream(seed: int, tag: str, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
-def _words(value: int) -> list[int]:
-    """``value`` as SeedSequence reads an entropy integer: its 32-bit words,
-    least significant first, and one word for 0."""
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
-
-
 def _pcg64_seed_words(entropy: list[np.ndarray]) -> np.ndarray:
     """``SeedSequence(e).generate_state(4, np.uint64)`` for every entropy row
     ``e`` at once, as a (4, rows) array.
@@ -138,35 +130,45 @@ def _pcg64_seed_words(entropy: list[np.ndarray]) -> np.ndarray:
     return np.array([state[j] | (state[j + 1] << 32) for j in range(0, 8, 2)])
 
 
-def _substreams(seed: int, tag: str, indices: range) -> Iterator[np.random.Generator]:
-    """The generators of ``substream(seed, tag, i)`` for each ``i`` in ``indices``.
+def _seed_words(*entropy) -> np.ndarray:
+    """``SeedSequence([e0, e1, ...]).generate_state(4, np.uint64)`` for each row of the
+    broadcast 1-D uint64 arrays ``entropy``, as a (4, rows) array. Rows whose integers take
+    the same numbers of 32-bit words (one below 2**32, two from it) are hashed together
+    by :func:`_pcg64_seed_words`."""
+    entropy = np.broadcast_arrays(*(np.asarray(e, np.uint64) for e in entropy))
+    wide = sum((e >> np.uint64(32) != 0).astype(np.int64) << j for j, e in enumerate(entropy))
+    words = np.empty((4, wide.size), np.uint64)
+    for pattern in np.unique(wide):
+        rows = np.flatnonzero(wide == pattern)
+        words[:, rows] = _pcg64_seed_words([(e[rows] >> np.uint64(32 * k)).astype(np.uint32)
+                                            for j, e in enumerate(entropy) for k in range(1 + (pattern >> j & 1))])
+    return words
 
-    Indices are keyed in passes of up to ``_KEY_BLOCK``: one vectorized
-    SeedSequence hash per pass (:func:`_pcg64_seed_words`), then PCG64's
-    seeding step per index in Python integers (``pcg64_set_seed``: the
+
+def _substreams(seeds, tag: str, indices) -> Iterator[np.random.Generator]:
+    """The generators of ``substream(s, tag, i)`` for each pair ``(s, i)`` of the
+    broadcast 1-D ``seeds`` and ``indices``, in order; a scalar seed is checked once.
+
+    Pairs are keyed in passes of up to ``_KEY_BLOCK``: one vectorized
+    SeedSequence hash per pass (:func:`_seed_words`), then PCG64's
+    seeding step per pair in Python integers (``pcg64_set_seed``: the
     increment is 2 s' + 1 and the state steps once from 0, adds s and
     steps again, for the seed words s, s'). One generator is re-keyed
-    through ``bit_generator.state`` for every index, so a stream must be
+    through ``bit_generator.state`` for every pair, so a stream must be
     used up before the next one is taken.
     """
-    head = _words(_check_seed(seed)) + _words(_tag_u64(tag))
+    seeds = _check_seed(seeds) if np.ndim(seeds) == 0 else seeds
+    seeds, indices = np.broadcast_arrays(np.asarray(seeds, np.uint64), np.asarray(indices, np.uint64))
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
-    # an index from 2**32 up takes a second entropy word: no pass spans both
-    for low, high, width in ((indices.start, min(indices.stop, 2**32), 1),
-                             (max(indices.start, 2**32), indices.stop, 2)):
-        for start in range(low, high, _KEY_BLOCK):
-            index = np.arange(min(_KEY_BLOCK, high - start), dtype=np.uint64) + np.uint64(start)
-            columns = [np.full(index.size, word, dtype=np.uint32) for word in head]
-            columns += [(index >> np.uint64(32 * k)).astype(np.uint32) for k in range(width)]
-            seed_words = _pcg64_seed_words(columns)
-            for row in range(index.size):
-                s_hi, s_lo, i_hi, i_lo = seed_words[:, row].tolist()
-                inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-                state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-                bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                       "has_uint32": 0, "uinteger": 0}
-                yield rng
+    for start in range(0, seeds.size, _KEY_BLOCK):
+        rows = slice(start, start + _KEY_BLOCK)
+        for s_hi, s_lo, i_hi, i_lo in _seed_words(seeds[rows], _tag_u64(tag), indices[rows]).T.tolist():
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+            bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+            yield rng
 
 
 def _replicate_blocks(seed: int, tag: str, resamples: int, values_per_row: int,

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import CIUnreliableError, SolverError
 from .kde import _block_rows, _check_count, _density_at, _grid_size, _kde_rows_at, _silverman_bandwidth, as_sample
 from .modes import _at_most_modes, _mode_runs
-from .rng import _check_seed, derive_seed, resample_with_replacement
+from .rng import _check_seed, _seed_words, _substreams, _tag_u64
 
 __all__ = [
     "CritBandResult",
@@ -211,12 +211,11 @@ def critical_bandwidth_ci(x, k: int = 2, resamples: int | None = None,
     block size. Replicates whose solve does not verify, or that draw one value
     only, are excluded and counted in ``ci_failures``; more than half failing
     raises :class:`CIUnreliableError`. The 95% interval is widened, if needed,
-    to contain the point estimate. A bad seed or an unverified point solve
-    (:class:`SolverError`) is refused before any replicate is drawn.
+    to contain the point estimate. Bad arguments are refused before any KDE
+    evaluation, an unverified point solve (:class:`SolverError`) before any replicate.
     """
     x = as_sample(x, min_size=3)
     _check_seed(seed)
-    point = _verified(_solve(x, k))
     if resamples is None:
         resamples = DEFAULT_CI_RESAMPLES
         if x.size > _LARGE_SAMPLE:
@@ -225,14 +224,16 @@ def critical_bandwidth_ci(x, k: int = 2, resamples: int | None = None,
                 f"n={x.size} will be slow; pass resamples explicitly to silence",
                 stacklevel=2,
             )
-    return _bootstrap(x, point, resamples, seed)
+    _check_count("resamples", resamples, 99)
+    return _bootstrap(x, _verified(_solve(x, k)), resamples, seed)
 
 
 def _bootstrap(x: np.ndarray, point: CritBandResult, resamples: int, seed: int) -> CritBandResult:
-    """``point``, the solve on the validated sample ``x``, with the interval
-    of :func:`critical_bandwidth_ci` from ``resamples`` replicates."""
-    _check_count("resamples", resamples, 99)
-    replicates = (resample_with_replacement(x, derive_seed(seed, "ci", i)) for i in range(resamples))
+    """``point``, the solve on the validated sample ``x``, with the interval of
+    :func:`critical_bandwidth_ci` from ``resamples`` (checked) replicates; replicate i
+    is ``resample_with_replacement(x, derive_seed(seed, "ci", i))``, keyed in bulk."""
+    seeds = _seed_words(seed, _tag_u64("ci"), np.arange(resamples))[0]
+    replicates = (np.sort(x[g.integers(0, x.size, x.size)]) for g in _substreams(seeds, "resample", 0))
     solved = _solve_each(((y, None) for y in replicates if y[0] != y[-1]), point.k)
     values = [r.h_crit for r in solved if r.success]
     failures = resamples - len(values)

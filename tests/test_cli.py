@@ -121,18 +121,23 @@ def test_analyze_report_matches_library(wellsep_csv, capsys, flags):
 
 def test_analyze_unverified_search_fails_before_the_interval(capsys, kde_bandwidths):
     # k = 1 has no attainable target, so the search never verifies; the
-    # interval draws no replicate, and resamples below its least are not read
+    # interval draws no replicate, and resamples below its least are refused
+    # before any evaluation
     path = str(Path(__file__).parent / "data" / "well_separated_n400.csv")
     seen = []
-    for flags in ([], ["--ci", "--resamples", "99"], ["--ci", "--resamples", "50"]):
+    for flags in ([], ["--ci", "--resamples", "99"]):
         kde_bandwidths.clear()
         assert main(["analyze", path, "--k", "1", *flags]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "method failure: critical bandwidth search failed (k=1, iterations=6)\n"
         seen.append(list(kde_bandwidths))
-    assert seen[0] == seen[1] == seen[2]
+    assert seen[0] == seen[1]
     assert len(set(seen[0])) == len(seen[0]) == 6
+    kde_bandwidths.clear()
+    assert main(["analyze", path, "--k", "1", "--ci", "--resamples", "50"]) == 2
+    assert capsys.readouterr() == ("", "data error: resamples: must be >= 99, got 50\n")
+    assert kde_bandwidths == []
 
 
 def test_analyze_ci_flag(wellsep_csv, capsys):

@@ -25,6 +25,7 @@ from modality import (
     MixtureSpec,
     Table,
     ValidationError,
+    analyze,
     count_modes,
     critical_bandwidth,
     critical_bandwidth_ci,
@@ -221,3 +222,24 @@ def test_analyze_refuses_a_bad_seed_before_its_point_solve(capsys, monkeypatch):
     data = Path(__file__).resolve().parent / "data" / "well_separated_n400.csv"
     assert cli.main(["analyze", str(data), "--ci", "--resamples", "99", "--seed", "-1"]) == 2
     assert capsys.readouterr().err == "data error: seed: must be in [0, 2**64), got -1\n"
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda x: critical_bandwidth_ci(x, resamples=5), "resamples: must be >= 99, got 5", id="ci-5"),
+    pytest.param(lambda x: critical_bandwidth_ci(x, resamples=True), "resamples: must be an integer >= 99, got True",
+                 id="ci-bool"),
+    pytest.param(lambda x: critical_bandwidth_ci(x, k=0), "k: must be >= 1, got 0", id="ci-k0"),
+    pytest.param(lambda x: analyze(x, resamples=5), "resamples: must be >= 99, got 5", id="analyze-5"),
+    pytest.param(lambda x: analyze(x, resamples=True), "resamples: must be an integer >= 99, got True",
+                 id="analyze-bool"),
+    pytest.param(lambda x: analyze(x, k=0), "k: must be >= 1, got 0", id="analyze-k0"),
+    pytest.param(lambda x: analyze(x, k=2.0), "k: must be an integer >= 1, got 2.0", id="analyze-k-float"),
+])
+def test_interval_and_analyze_arguments_are_refused_before_any_evaluation(bimodal, call, message, monkeypatch,
+                                                                          kde_bandwidths):
+    solves = []
+    monkeypatch.setattr(solver, "_solve_each", lambda *args: solves.append(args))
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call(bimodal)
+    assert solves == []
+    assert kde_bandwidths == []

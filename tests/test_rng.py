@@ -6,7 +6,8 @@ import pytest
 
 import modality.kde as kde_mod
 import modality.rng as rng_mod
-from modality import MixtureSpec, ValidationError, resample_with_replacement, sample_mixture
+import modality.solver as solver_mod
+from modality import CritBandResult, MixtureSpec, ValidationError, resample_with_replacement, sample_mixture
 from modality.rng import (_EXPM2, _log, _ndtri, _replicate_blocks, _substreams, component_counts, derive_seed,
                           random_open01, substream)
 
@@ -146,6 +147,43 @@ def test_bulk_keyed_streams_equal_substream_for_a_one_word_tag(tag_hash, monkeyp
         for indices in (range(3), range(2**32 - 1, 2**32 + 1)):
             assert _states(seed, "dip", indices) == [substream(seed, "dip", i).bit_generator.state
                                                      for i in indices]
+
+
+def test_bulk_keyed_streams_take_broadcast_seeds():
+    # derived seeds below 2^32 take one entropy word; one comes up with probability 2^-32 a replicate
+    seeds = np.array([2**64 - 1, 0, 7, 2**32 - 1, 2**32, 12345], dtype=np.uint64)
+    assert _states(seeds, "resample", 0) == [substream(int(s), "resample").bit_generator.state for s in seeds]
+    indices = np.array([0, 2**32, 3, 2**64 - 1, 1, 2**32 - 1], dtype=np.uint64)
+    assert _states(seeds, "dip", indices) == [substream(int(s), "dip", int(i)).bit_generator.state
+                                              for s, i in zip(seeds, indices)]
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+def test_interval_keys_each_replicate_as_derive_seed_then_substream(seed, monkeypatch):
+    # 1030 replicates take two _KEY_BLOCK passes; each replicate's stream and draws are
+    # those of resample_with_replacement(x, derive_seed(seed, "ci", i))
+    states, drawn = [], []
+    keyed = solver_mod._substreams
+
+    def recording(*args):
+        for g in keyed(*args):
+            states.append(g.bit_generator.state)
+            yield g
+
+    def draw_only(problems, k):
+        drawn.extend(y for y, _ in problems)
+        return [CritBandResult(1.0, True, k, 1)] * len(drawn)
+
+    monkeypatch.setattr(solver_mod, "_substreams", recording)
+    monkeypatch.setattr(solver_mod, "_solve_each", draw_only)
+    x = np.arange(5.0)
+    solver_mod._bootstrap(x, CritBandResult(1.0, True, 2, 1), 1030, seed)
+    seeds = [derive_seed(seed, "ci", i) for i in range(1030)]
+    assert states == [substream(s, "resample").bit_generator.state for s in seeds]
+    expected = [y for y in (resample_with_replacement(x, s) for s in seeds) if y[0] != y[-1]]
+    assert len(drawn) == len(expected)
+    for got, want in zip(drawn, expected):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_replicate_blocks_equal_each_replicates_own_draws(monkeypatch):

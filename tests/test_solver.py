@@ -167,7 +167,7 @@ def test_ci_unreliable_when_most_replicates_fail():
 def test_ci_refuses_an_unverified_point_solve_before_any_replicate(well_separated, monkeypatch):
     # k = 1 has no attainable target, so the point solve never verifies
     iterations = critical_bandwidth(well_separated, k=1).iterations
-    monkeypatch.setattr(solver, "resample_with_replacement", lambda *args: pytest.fail("drew a replicate"))
+    monkeypatch.setattr(solver, "_substreams", lambda *args: pytest.fail("keyed a replicate"))
     with pytest.raises(SolverError) as failure:
         critical_bandwidth_ci(well_separated, k=1, resamples=99)
     assert str(failure.value) == f"critical bandwidth search failed (k=1, iterations={iterations})"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import modality.kde as kde_mod
+import modality.solver as solver_mod
 import modality.stattests as stattests_mod
 from modality import (
     DegenerateSampleError,
@@ -523,12 +524,16 @@ def test_constant_sample_has_zero_scale_everywhere(method):
 
 
 def test_monte_carlo_tests_key_their_streams_in_bulk(monkeypatch):
-    # every replicate's stream comes from rng._substreams, none from a substream call of its own
-    def refuse(*args):
-        raise AssertionError("a replicate keyed its own substream")
+    # every replicate's stream comes from rng._substreams, none from a substream, derive_seed or
+    # resample_with_replacement call of its own, and no replicate re-validates the sample
+    def refuse(*args, **kwargs):
+        raise AssertionError("a replicate keyed its own stream or re-validated the sample")
 
     x = sample_mixture(MixtureSpec(((0.5, -2.0, 0.3), (0.5, 2.0, 0.3)), 100), 0)
-    monkeypatch.setattr("modality.rng.substream", refuse)
-    monkeypatch.setattr(stattests_mod, "substream", refuse, raising=False)
+    for name in ("substream", "derive_seed", "resample_with_replacement", "_sample"):
+        monkeypatch.setattr(f"modality.rng.{name}", refuse)
+        for module in (stattests_mod, solver_mod):
+            monkeypatch.setattr(module, name, refuse, raising=False)
     silverman_test(x, resamples=99)
     dip_test(x, resamples=199)
+    critical_bandwidth_ci(x, resamples=99)

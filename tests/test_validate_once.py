@@ -2,9 +2,11 @@
 
 Every layer below a public function takes the sorted sample it is given,
 so a solve of 17 KDE evaluations, a bootstrap of 99 replicates and every
-CLI command all sort the data once. A command's file reader returns the
-numbers unsorted; ``analyze``, ``test`` and ``decompose`` pass them to
-the public procedure, and ``modes`` validates them at its start.
+CLI command all check and sort the data once: the interval's replicates
+index the checked sample and check nothing again. A command's file
+reader returns the numbers unsorted; ``analyze``, ``test`` and
+``decompose`` pass them to the public procedure, and ``modes`` validates
+them at its start.
 
 No internal evaluation re-checks what its public call checked: it runs
 the unchecked core ``kde._density``, never the checked ``kde_fft``, and a
@@ -98,14 +100,31 @@ def kde_fft_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def sample_checks(monkeypatch):
+    """The ``min_size`` of every ``kde._sample`` check made while the test runs, in
+    every ``modality.*`` namespace that holds it: ``as_sample``'s, and any other."""
+    calls = []
+    check = kde_mod._sample
+
+    def counting(values, min_size, finite=True):
+        calls.append(min_size)
+        return check(values, min_size, finite)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "modality" and getattr(module, "_sample", None) is check:
+            monkeypatch.setattr(module, "_sample", counting)
+    return calls
+
+
 @pytest.mark.parametrize("name", list(CALLS))
 def test_public_call_validates_once(name, well_separated, tmp_path, capsys, as_sample_calls, grids_built,
-                                    kde_fft_calls):
+                                    kde_fft_calls, sample_checks):
     x = np.random.default_rng(0).permutation(well_separated)
     path = tmp_path / "sample.csv"
     path.write_text("value\n" + "\n".join(repr(float(v)) for v in x) + "\n")
     CALLS[name](x, path)
     capsys.readouterr()
-    assert len(as_sample_calls) == 1
+    assert len(as_sample_calls) == len(sample_checks) == 1
     assert len(grids_built) == (0 if name in _GRIDLESS else 1)
     assert kde_fft_calls == []
